@@ -55,6 +55,7 @@ from .phase import (
     check_gradient,
     conformal_vector_field,
     fd_gradient,
+    fd_jacobian,
     omega_matrix,
 )
 from .scaling import (

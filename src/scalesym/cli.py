@@ -32,8 +32,8 @@ from .equilibria import RelativeEquilibrium, locked_inertia, \
 from .errors import BlowupWindow, CollisionDetected, DimensionMismatch, \
     NonFiniteValue, SchemaError, SolverDidNotConverge, UncertifiedInput
 from .phase import PhasePoint
-from .systems import BuiltSystem, ConformalSystem, NBodySpec, collision_guard, \
-    make_system, min_pairwise_distance
+from .systems import BuiltSystem, ConformalSystem, NBodySpec, make_system, \
+    min_pairwise_distance
 
 log = logging.getLogger("scalesym")
 
@@ -278,18 +278,10 @@ def _expanding_state(built: BuiltSystem, spec_dict, seed: int) -> PhasePoint:
     return PhasePoint(q, momentum_from_config(system, action, xi, q))
 
 
-def _guard_for(built: BuiltSystem, spec_dict):
-    nspec = _nbody_spec_of(spec_dict)
-    if nspec is None:
-        return None
-    return collision_guard(nspec, built.system.collision_threshold)
-
-
 def _noether_drift(built: BuiltSystem, spec_dict: dict, args) -> float:
     z0 = _expanding_state(built, spec_dict, args.seed)
     traj = integrate(built.system.hamiltonian_field(), 0.0, z0, args.t_final,
-                     args.dt, action=built.action,
-                     guard=_guard_for(built, spec_dict))
+                     args.dt, action=built.action)
     series = noether_series(built.system.hamiltonian_field(), built.action, traj)
     return float(series.drift / max(1.0, abs(series.values[0])))
 
@@ -301,13 +293,11 @@ def _flow_defects(built: BuiltSystem, spec_dict: dict, args):
                                      args.t_final, args.dt)
     z0 = _expanding_state(built, spec_dict, args.seed)
     return verify_conformal_flow(built.system.hamiltonian_field(), 0.0, z0,
-                                 args.t_final, args.dt,
-                                 guard=_guard_for(built, spec_dict))
+                                 args.t_final, args.dt)
 
 
 def cmd_integrate(args) -> int:
     spec, built = _build(args)
-    guard = _guard_for(built, spec)
     if isinstance(built.system, ConformalSystem):
         field, c = built.system.field, built.system.c
         default_z0 = built.system.z0
@@ -325,7 +315,7 @@ def cmd_integrate(args) -> int:
         raise SchemaError("no initial state: pass --init or put 'z0' in the spec")
 
     traj = integrate(field, c, PhasePoint.from_flat(flat), args.t_final,
-                     args.dt, action=built.action, guard=guard)
+                     args.dt, action=built.action)
     write_trajectory_csv(args.out, traj)
     log.info("wrote %d states to %s", len(traj), args.out)
     return EXIT_OK
@@ -345,8 +335,7 @@ def cmd_homothetic(args) -> int:
         certified=bool(re_doc.get("certified", False)),
         tol=float(re_doc.get("tol", 1e-10)))
     report = verify_homothetic_orbit(system.hamiltonian_field(), action, re,
-                                     args.t_final, args.dt,
-                                     guard=_guard_for(built, re_doc["system"]))
+                                     args.t_final, args.dt)
     payload = report.to_dict() | {"system": re_doc["system"],
                                   "config": _resolved_config(args)}
     _write_json(args.out, payload)

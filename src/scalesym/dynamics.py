@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BlowupWindow, DimensionMismatch, NonFiniteValue, UncertifiedInput
-from .phase import PhasePoint, ScalarField, _representable_step, omega_matrix
+from .phase import PhasePoint, ScalarField, fd_jacobian, omega_matrix
 from .scaling import ScalingAction, act_phase, momentum_map
 
 
@@ -167,22 +167,11 @@ def integrate(F: ScalarField, c: float, z0: PhasePoint, t_final: float,
 def flow_jacobian(F: ScalarField, c: float, z0: PhasePoint, t: float,
                   dt: float, *, guard=None) -> np.ndarray:
     """Central-difference Jacobian of the time-t flow map at z0 (2n x 2n)."""
-    flat0 = z0.flat()
-    dim = 2 * z0.n
-    cols = np.empty((dim, dim))
-
     def flow_from(start: np.ndarray) -> np.ndarray:
         traj = integrate(F, c, PhasePoint.from_flat(start), t, dt, guard=guard)
         return traj.final_state.flat()
 
-    for i in range(dim):
-        h = _representable_step(flat0[i])
-        plus = flat0.copy()
-        minus = flat0.copy()
-        plus[i] += h
-        minus[i] -= h
-        cols[:, i] = (flow_from(plus) - flow_from(minus)) / (2.0 * h)
-    return cols
+    return fd_jacobian(flow_from, z0.flat())
 
 
 def verify_conformal_flow(F: ScalarField, c: float, z0: PhasePoint, t: float,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CollisionDetected, DimensionMismatch, NonFiniteValue, \
     SolverDidNotConverge, SymmetryVerificationFailed
-from .phase import PhasePoint, ScalarField, _representable_step
+from .phase import PhasePoint, ScalarField, fd_jacobian
 from .scaling import (
     ScalingAction,
     generator_config,
@@ -223,19 +223,6 @@ def _solver_residual(system, action, q, xi, inertia_target, fix_xi):
     return np.concatenate(rows)
 
 
-def _fd_jacobian(residual, x):
-    r0 = residual(x)
-    jac = np.empty((len(r0), len(x)))
-    for i in range(len(x)):
-        h = _representable_step(x[i])
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        jac[:, i] = (residual(xp) - residual(xm)) / (2.0 * h)
-    return jac
-
-
 def solve_central_configuration(system: SimpleMechanicalSystem,
                                 action: ScalingAction, q0, *,
                                 inertia_target: float | None = None,
@@ -297,7 +284,7 @@ def solve_central_configuration(system: SimpleMechanicalSystem,
             xi_sol = x[-1] if fix_xi is None else xi
             return certify_relative_equilibrium(system, action, q_sol, xi_sol,
                                                 tol=tol, iterations=iteration - 1)
-        jac = _fd_jacobian(residual, x)
+        jac = fd_jacobian(residual, x)
         accepted = False
         while not accepted:
             # Minimum-norm solution of the damped least-squares step.

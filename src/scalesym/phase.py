@@ -19,8 +19,10 @@ vector field with parameter c is the unique X satisfying
 which in these coordinates reads X = (dF/dp, -dF/dq + c p).  With c = 0
 this is the ordinary Hamiltonian vector field.
 
-The module also provides the central-difference gradient used as the
-oracle for every analytic gradient in the package.
+The module also provides the central-difference Jacobian behind every
+numerical derivative in the package: the gradient oracle for analytic
+gradients, the lift and flow Jacobians the certificates test, and the
+solver's Jacobian.
 """
 
 from dataclasses import dataclass
@@ -163,27 +165,34 @@ def _representable_step(x_i: float) -> float:
     return (x_i + h) - x_i
 
 
-def fd_gradient(f: Callable[[np.ndarray], float], x) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a vector.
+def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
+    """Central-difference Jacobian of f at x, shape (len(f(x)), len(x)).
 
     Deterministic step per coordinate: h_i = cbrt(eps) * max(1, |x_i|),
-    rounded to a step exactly representable around x_i.  Raises
-    NonFiniteValue if f is not finite at any probe.
+    rounded to a step exactly representable around x_i.  Each probe is a
+    fresh copy of x, so f may return a view of its argument.  A scalar f
+    gives a one-row Jacobian.  Raises NonFiniteValue if f is not finite at
+    any probe.
     """
     x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    work = x.copy()
+    cols = []
     for i in range(len(x)):
         h = _representable_step(x[i])
-        work[i] = x[i] + h
-        f_plus = f(work)
-        work[i] = x[i] - h
-        f_minus = f(work)
-        work[i] = x[i]
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+        plus = x.copy()
+        minus = x.copy()
+        plus[i] += h
+        minus[i] -= h
+        f_plus = np.atleast_1d(np.asarray(f(plus), dtype=float))
+        f_minus = np.atleast_1d(np.asarray(f(minus), dtype=float))
+        if not (np.isfinite(f_plus).all() and np.isfinite(f_minus).all()):
             raise NonFiniteValue(f"f non-finite near coordinate {i}")
-        grad[i] = (f_plus - f_minus) / (2.0 * h)
-    return grad
+        cols.append((f_plus - f_minus) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+def fd_gradient(f: Callable[[np.ndarray], float], x) -> np.ndarray:
+    """Central-difference gradient of a scalar function of a vector."""
+    return fd_jacobian(f, x)[0]
 
 
 def check_gradient(F: ScalarField, points) -> float:

@@ -28,11 +28,11 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue
 from .phase import (
-    _representable_step,
     PhasePoint,
     ScalarField,
     TangentVector,
     conformal_vector_field,
+    fd_jacobian,
     omega_matrix,
 )
 
@@ -94,28 +94,16 @@ class ScalingAction:
                 q = rng.uniform(-1.0, 1.0, size=n)
                 g = float(np.exp(rng.uniform(-0.7, 0.7)))
                 h = float(np.exp(rng.uniform(-0.7, 0.7)))
-                jac = np.column_stack([
-                    _fd_column(lambda w: psi(g, w), q, i) for i in range(n)
-                ])
+                jac = fd_jacobian(lambda w: psi(g, w), q)
                 if np.max(np.abs(jac - dpsi(g, q))) > rtol * max(1.0, np.max(np.abs(jac))):
                     raise ValueError("dpsi disagrees with finite differences of psi")
-                t = 1e-6
-                gen_fd = (psi(np.exp(t), q) - psi(np.exp(-t), q)) / (2 * t)
+                gen_fd = fd_jacobian(lambda t: psi(np.exp(t[0]), q), [0.0])[:, 0]
                 if np.max(np.abs(gen_fd - xi_q(q))) > rtol * max(1.0, np.max(np.abs(gen_fd))):
                     raise ValueError("xi_q disagrees with d/dt|0 psi(e^t, q)")
                 law = psi(g * h, q) - psi(g, psi(h, q))
                 if np.max(np.abs(law)) > 1e-10 * max(1.0, np.max(np.abs(psi(g * h, q)))):
                     raise ValueError("psi violates the group law psi(gh) = psi(g) o psi(h)")
         return action
-
-
-def _fd_column(f, x, i):
-    h = _representable_step(x[i])
-    xp = x.copy()
-    xm = x.copy()
-    xp[i] += h
-    xm[i] -= h
-    return (np.asarray(f(xp), float) - np.asarray(f(xm), float)) / (2 * h)
 
 
 def act_config(action: ScalingAction, g: float, q) -> np.ndarray:
@@ -259,12 +247,10 @@ def _rel(err: float, *scales: float) -> float:
 
 def phase_jacobian_fd(action: ScalingAction, g: float, z: PhasePoint) -> np.ndarray:
     """Finite-difference Jacobian of act_phase(g, .) at z (2n x 2n)."""
-    flat = z.flat()
-
     def mapped(w):
         return act_phase(action, g, PhasePoint.from_flat(w)).flat()
 
-    return np.column_stack([_fd_column(mapped, flat, i) for i in range(2 * z.n)])
+    return fd_jacobian(mapped, z.flat())
 
 
 def verify_scaling_symmetry(action: ScalingAction, H: ScalarField,

@@ -227,7 +227,7 @@ def _nbody_probe(spec: NBodySpec, min_sep: float = 0.35):
             q = rng.uniform(-1.25, 1.25, size=spec.n)
             if min_pairwise_distance(spec, q) >= min_sep:
                 return PhasePoint(q, rng.uniform(-1.25, 1.25, size=spec.n))
-        raise RuntimeError("failed to draw a separated configuration")
+        raise SchemaError("failed to draw a separated configuration")
 
     return probe
 

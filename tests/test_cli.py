@@ -212,3 +212,25 @@ def test_homothetic_past_blowup_window(workdir):
     code = main(["homothetic", "--re", str(re_path), "--t-final", "1",
                  "--dt", "1e-3", "--out", str(workdir / "h2.json")])
     assert code == 4
+
+
+def test_solve_cc_probe_sampler_failure_is_spec_error(workdir, capsys):
+    # Five collinear unit masses: at seed 0 the verifier's probe sampler
+    # draws no configuration separated by its minimum distance.
+    spec = workdir / "nbody5.json"
+    spec.write_text(json.dumps({"type": "nbody", "masses": [1] * 5, "dim": 2}))
+    code = main(["solve-cc", "--system", str(spec), "--collinear", "--seed", "0",
+                 "--out", str(workdir / "re5.json")])
+    assert code == 1
+    assert capsys.readouterr().err.count("error:") == 1
+
+
+def test_integrate_head_on_collision_exit_code(workdir, capsys):
+    spec = workdir / "head-on.json"
+    spec.write_text(json.dumps({"type": "nbody", "masses": [1, 1], "dim": 1,
+                                "collision_threshold": 0.01,
+                                "z0": [-0.5, 0.5, 0.0, 0.0]}))
+    code = main(["integrate", "--system", str(spec), "--t-final", "1",
+                 "--dt", "1e-3", "--out", str(workdir / "head-on.csv")])
+    assert code == 4
+    assert "under threshold 1.000e-02" in capsys.readouterr().err

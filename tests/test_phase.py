@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from scalesym import (
     DimensionMismatch,
@@ -12,6 +14,7 @@ from scalesym import (
     check_gradient,
     conformal_vector_field,
     fd_gradient,
+    fd_jacobian,
     momentum_field,
     omega_matrix,
 )
@@ -163,6 +166,37 @@ def test_fd_gradient_rejects_nonfinite():
     with pytest.raises(NonFiniteValue):
         fd_gradient(lambda x: 1.0 / (x[0] - 1.0) if x[0] <= 1.0 else np.inf,
                     np.array([1.0]))
+
+
+@st.composite
+def _rectangular_affine_maps(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6).filter(lambda k: k != m))
+    entries = st.floats(-10.0, 10.0)
+    return (draw(arrays(float, (m, n), elements=entries)),
+            draw(arrays(float, m, elements=entries)),
+            draw(arrays(float, n, elements=entries)))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_rectangular_affine_maps())
+def test_fd_jacobian_recovers_rectangular_affine_map(case):
+    A, b, x = case
+    jac = fd_jacobian(lambda w: A @ w + b, x)
+    assert jac.shape == A.shape
+    # central differences are exact on affine maps up to rounding
+    assert jac == pytest.approx(A, abs=1e-6)
+
+
+def test_fd_jacobian_of_a_view_of_its_input():
+    jac = fd_jacobian(lambda w: w[1:], np.array([0.5, -2.0, 3.0]))
+    assert jac == pytest.approx(np.eye(3)[1:], abs=1e-9)
+
+
+def test_fd_jacobian_rejects_nonfinite_vector_output():
+    with pytest.raises(NonFiniteValue):
+        fd_jacobian(lambda w: np.array([w.sum(), np.inf if w[1] > 1.0 else 0.0]),
+                    np.array([0.0, 1.0]))
 
 
 def test_analytic_gradients_match_fd():

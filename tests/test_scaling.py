@@ -271,6 +271,13 @@ def test_custom_action_validation_rejects_bad_jacobian():
                              lambda g, q: np.eye(2), good.xi_q, good.dxi_q)
 
 
+def test_custom_action_validation_rejects_bad_generator():
+    good = quadratic_action()
+    with pytest.raises(ValueError, match="xi_q"):
+        ScalingAction.custom(2, 0.5, 0.0, good.psi, good.dpsi,
+                             lambda q: 2.0 * good.xi_q(q), good.dxi_q)
+
+
 def test_custom_action_validation_rejects_group_law_violation():
     def psi(g, q):
         return np.asarray(q, float) + (g - 1.0)  # translation, not an R+ action
