@@ -76,7 +76,6 @@ from .systems import (
     ConformalSystem,
     NBodySpec,
     anisotropic_kepler_system,
-    collision_guard,
     damped_oscillator,
     euler_collinear_oracle,
     homogeneous_system,

@@ -27,8 +27,8 @@ import numpy as np
 from . import __version__
 from .dynamics import Trajectory, integrate, noether_series, \
     verify_conformal_flow, verify_homothetic_orbit
-from .equilibria import RelativeEquilibrium, locked_inertia, \
-    momentum_from_config, solve_central_configuration, xi_squared_from_config
+from .equilibria import RelativeEquilibrium, momentum_from_config, \
+    solve_central_configuration, xi_squared_from_config
 from .errors import BlowupWindow, CollisionDetected, DimensionMismatch, \
     NonFiniteValue, SchemaError, SolverDidNotConverge, UncertifiedInput
 from .phase import PhasePoint
@@ -140,15 +140,9 @@ def _mechanical_or_die(built: BuiltSystem):
     return built.system, built.action
 
 
-def _nbody_spec_of(spec: dict) -> NBodySpec | None:
-    if spec.get("type") == "nbody":
-        return NBodySpec(masses=tuple(spec["masses"]),
-                         dim=int(spec.get("dim", 3)))
-    return None
-
-
-def _random_start(system, spec_dict, rng) -> np.ndarray:
-    nspec = _nbody_spec_of(spec_dict)
+def _random_start(system, rng) -> np.ndarray:
+    nspec = (NBodySpec(masses=tuple(system.masses), dim=system.dim)
+             if system.translation_invariant else None)
     for _ in range(200):
         q = rng.uniform(-1.0, 1.0, size=system.n)
         if nspec is None or min_pairwise_distance(nspec, q) > 0.3:
@@ -161,7 +155,6 @@ def _solve_one(system, action, q0, args, spec, job=None):
     try:
         result = solve_central_configuration(
             system, action, q0, tol=args.tol, max_iter=args.max_iter,
-            inertia_target=locked_inertia(system, action, q0),
             verify_symmetry=False)
     except SolverDidNotConverge as exc:
         payload = {"error": str(exc), "certified": False,
@@ -175,12 +168,12 @@ def _solve_one(system, action, q0, args, spec, job=None):
 
 
 def cmd_solve_cc(args) -> int:
-    spec, built = _build(args)
+    spec = _load_json(args.system)
     if args.collinear:
-        if spec.get("type") != "nbody":
+        if not isinstance(spec, dict) or spec.get("type") != "nbody":
             raise SchemaError("--collinear applies to nbody systems")
         spec = dict(spec, dim=1)
-        built = make_system(spec, samples=args.samples, seed=args.seed)
+    built = make_system(spec, samples=args.samples, seed=args.seed)
     system, action = _mechanical_or_die(built)
     if built.symmetry_report is not None and not built.symmetry_report.passed:
         _write_json(args.out, {"error": "scaling-symmetry verification failed",
@@ -196,7 +189,7 @@ def cmd_solve_cc(args) -> int:
 
     def start_for(job: int) -> np.ndarray:
         if init is None:
-            return _random_start(system, spec, np.random.default_rng(args.seed + job))
+            return _random_start(system, np.random.default_rng(args.seed + job))
         if job == 0:
             return init
         jitter = np.random.default_rng(args.seed + job).uniform(
@@ -241,12 +234,12 @@ def cmd_verify(args) -> int:
         elif name == "noether":
             if is_conformal:
                 continue
-            drift = _noether_drift(built, spec, args)
+            drift = _noether_drift(built, args)
             results.append({"name": "noether-drift", "selector": "noether",
                             "max_residual": drift,
                             "passed": drift <= args.flow_tol})
         elif name == "flow":
-            fr = dataclasses.replace(_flow_defects(built, spec, args),
+            fr = dataclasses.replace(_flow_defects(built, args),
                                      tolerance=args.flow_tol)
             worst = max(fr.conformal_defect, fr.volume_defect,
                         fr.energy_rate_defect)
@@ -266,11 +259,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_VERIFICATION
 
 
-def _expanding_state(built: BuiltSystem, spec_dict, seed: int) -> PhasePoint:
+def _expanding_state(built: BuiltSystem, seed: int) -> PhasePoint:
     # A homothetically expanding start stays collision-free on any window.
     system, action = built.system, built.action
-    rng = np.random.default_rng(seed)
-    q = _random_start(system, spec_dict, rng)
+    q = _random_start(system, np.random.default_rng(seed))
     try:
         xi = float(np.sqrt(max(xi_squared_from_config(system, q), 0.0)))
     except ValueError:
@@ -278,20 +270,20 @@ def _expanding_state(built: BuiltSystem, spec_dict, seed: int) -> PhasePoint:
     return PhasePoint(q, momentum_from_config(system, action, xi, q))
 
 
-def _noether_drift(built: BuiltSystem, spec_dict: dict, args) -> float:
-    z0 = _expanding_state(built, spec_dict, args.seed)
+def _noether_drift(built: BuiltSystem, args) -> float:
+    z0 = _expanding_state(built, args.seed)
     traj = integrate(built.system.hamiltonian_field(), 0.0, z0, args.t_final,
                      args.dt, action=built.action)
-    series = noether_series(built.system.hamiltonian_field(), built.action, traj)
+    series = noether_series(built.action, traj)
     return float(series.drift / max(1.0, abs(series.values[0])))
 
 
-def _flow_defects(built: BuiltSystem, spec_dict: dict, args):
+def _flow_defects(built: BuiltSystem, args):
     if isinstance(built.system, ConformalSystem):
         z0 = PhasePoint.from_flat(built.system.z0)
         return verify_conformal_flow(built.system.field, built.system.c, z0,
                                      args.t_final, args.dt)
-    z0 = _expanding_state(built, spec_dict, args.seed)
+    z0 = _expanding_state(built, args.seed)
     return verify_conformal_flow(built.system.hamiltonian_field(), 0.0, z0,
                                  args.t_final, args.dt)
 
@@ -410,7 +402,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (OSError, json.JSONDecodeError, SchemaError, DimensionMismatch) as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except SolverDidNotConverge as exc:

@@ -112,12 +112,11 @@ def _step_count(t_final: float, dt: float) -> int:
 
 
 def integrate(F: ScalarField, c: float, z0: PhasePoint, t_final: float,
-              dt: float, *, action: ScalingAction | None = None,
-              guard: Callable[[PhasePoint], None] | None = None) -> Trajectory:
+              dt: float, *, action: ScalingAction | None = None) -> Trajectory:
     """Integrate the conformal vector field of F with classical RK4.
 
-    ``guard`` (e.g. a collision check for n-body potentials) is invoked on
-    every stored state and may raise to abort the run.
+    F's gradient, evaluated at every RK4 stage, may raise to abort the run
+    (the n-body kernel raises CollisionDetected inside its threshold).
     """
     m = _step_count(t_final, dt)
     X = _vector_field(F, c)
@@ -136,8 +135,6 @@ def integrate(F: ScalarField, c: float, z0: PhasePoint, t_final: float,
         if not np.isfinite(flat).all():
             raise NonFiniteValue(f"state became non-finite at t={t}")
         z = PhasePoint.from_flat(flat)
-        if guard is not None:
-            guard(z)
         times[k] = t
         qs[k] = z.q
         ps[k] = z.p
@@ -165,17 +162,17 @@ def integrate(F: ScalarField, c: float, z0: PhasePoint, t_final: float,
 
 
 def flow_jacobian(F: ScalarField, c: float, z0: PhasePoint, t: float,
-                  dt: float, *, guard=None) -> np.ndarray:
+                  dt: float) -> np.ndarray:
     """Central-difference Jacobian of the time-t flow map at z0 (2n x 2n)."""
     def flow_from(start: np.ndarray) -> np.ndarray:
-        traj = integrate(F, c, PhasePoint.from_flat(start), t, dt, guard=guard)
+        traj = integrate(F, c, PhasePoint.from_flat(start), t, dt)
         return traj.final_state.flat()
 
     return fd_jacobian(flow_from, z0.flat())
 
 
 def verify_conformal_flow(F: ScalarField, c: float, z0: PhasePoint, t: float,
-                          dt: float, *, guard=None) -> FlowReport:
+                          dt: float) -> FlowReport:
     """Certify conformality, volume scaling, and the energy-rate law at time t.
 
     The flow Jacobian A is taken by finite differences; the report carries
@@ -186,13 +183,13 @@ def verify_conformal_flow(F: ScalarField, c: float, z0: PhasePoint, t: float,
     dF/dt - c theta(X) along the trajectory from z0.
     """
     n = z0.n
-    A = flow_jacobian(F, c, z0, t, dt, guard=guard)
+    A = flow_jacobian(F, c, z0, t, dt)
     omega = omega_matrix(n)
     factor = float(np.exp(c * t))
     conformal = float(np.max(np.abs(A.T @ omega @ A - factor * omega)))
     volume = float(abs(np.linalg.det(A) - np.exp(n * c * t)))
 
-    traj = integrate(F, c, z0, t, dt, guard=guard)
+    traj = integrate(F, c, z0, t, dt)
     dF_dt = np.gradient(traj.energy, traj.times)
     rate = c * 2.0 * traj.kinetic
     # np.gradient is first-order at the ends; compare interior nodes only.
@@ -208,8 +205,7 @@ class NoetherSeries(NamedTuple):
     drift: float
 
 
-def noether_series(H: ScalarField, action: ScalingAction,
-                   traj: Trajectory) -> NoetherSeries:
+def noether_series(action: ScalingAction, traj: Trajectory) -> NoetherSeries:
     """The conserved combination F = J + b H t - c int theta(X_H) dt along a
     Hamiltonian (c = 0) trajectory, and its max drift from F(0).
     """
@@ -237,8 +233,7 @@ def homothetic_factor(action: ScalingAction, xi: float, t) -> np.ndarray:
 
 
 def verify_homothetic_orbit(H: ScalarField, action: ScalingAction, re,
-                            t_final: float, dt: float, *,
-                            guard=None) -> FlowReport:
+                            t_final: float, dt: float) -> FlowReport:
     """Compare the Hamiltonian trajectory from a certified relative
     equilibrium with its group orbit Phi_{eta(t)}(z_e).
 
@@ -250,10 +245,10 @@ def verify_homothetic_orbit(H: ScalarField, action: ScalingAction, re,
     z_e = PhasePoint(re.q, re.p)
     if z_e.n != action.n:
         raise DimensionMismatch("equilibrium dimension does not match action")
-    # Guard the whole window before integrating.
+    # Reject a window that reaches the blow-up time before integrating.
     homothetic_factor(action, re.xi, np.array([0.0, t_final]))
 
-    traj = integrate(H, 0.0, z_e, t_final, dt, action=action, guard=guard)
+    traj = integrate(H, 0.0, z_e, t_final, dt, action=action)
     eta = homothetic_factor(action, re.xi, traj.times)
     worst = 0.0
     for k in range(len(traj)):

@@ -51,7 +51,6 @@ class SimpleMechanicalSystem:
     alpha: float | None = None
     masses: np.ndarray | None = None
     dim: int | None = None
-    collision_threshold: float = 1e-6
     name: str = "mechanical"
 
     def __post_init__(self):

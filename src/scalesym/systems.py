@@ -12,6 +12,7 @@ with the result instead of raising.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,20 @@ class NBodySpec:
     def n(self) -> int:
         return self.bodies * self.dim
 
+    # Built once per spec and shared by every kernel call, so read-only.
+    @cached_property
+    def pairs(self) -> tuple:  # index arrays of the pairs i < j
+        i, j = np.triu_indices(self.bodies, k=1)
+        i.flags.writeable = j.flags.writeable = False
+        return i, j
+
+    @cached_property
+    def mass_products(self) -> np.ndarray:  # m_i m_j, (bodies, bodies)
+        masses = np.asarray(self.masses)
+        mm = masses[:, None] * masses[None, :]
+        mm.flags.writeable = False
+        return mm
+
 
 @dataclass(frozen=True)
 class ConformalSystem:
@@ -65,27 +80,30 @@ class BuiltSystem:
     symmetry_report: object | None
 
 
-def min_pairwise_distance(spec: NBodySpec, q) -> float:
+def _separations(spec: NBodySpec, q):
+    """Pairwise differences q_i - q_j, shape (N, N, d), and their norms (N, N)."""
     pos = np.asarray(q, dtype=float).reshape(spec.bodies, spec.dim)
     diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    iu = np.triu_indices(spec.bodies, k=1)
-    return float(dist[iu].min())
+    return diff, np.sqrt((diff ** 2).sum(axis=2))
+
+
+def min_pairwise_distance(spec: NBodySpec, q) -> float:
+    return float(_separations(spec, q)[1][spec.pairs].min())
 
 
 def nbody_potential_and_gradient(spec: NBodySpec, q, *,
                                  collision_threshold: float = 1e-6):
-    """U(q) = -sum_{i<j} m_i m_j / |q_i - q_j| and its analytic gradient."""
-    pos = np.asarray(q, dtype=float).reshape(spec.bodies, spec.dim)
-    masses = np.asarray(spec.masses)
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    iu = np.triu_indices(spec.bodies, k=1)
+    """U(q) = -sum_{i<j} m_i m_j / |q_i - q_j| and its analytic gradient.
+
+    The package's one collision check: raises CollisionDetected when a
+    pairwise separation is at or under ``collision_threshold``.
+    """
+    diff, dist = _separations(spec, q)
+    iu, mm = spec.pairs, spec.mass_products
     if dist[iu].min() <= collision_threshold:
         raise CollisionDetected(
             f"pairwise separation {dist[iu].min():.3e} under threshold "
             f"{collision_threshold:.3e}")
-    mm = masses[:, None] * masses[None, :]
     value = -float((mm[iu] / dist[iu]).sum())
     np.fill_diagonal(dist, 1.0)  # diagonal of diff is zero, so grad[i, i] = 0
     grad = (mm / dist ** 3)[:, :, None] * diff
@@ -109,18 +127,7 @@ def nbody_system(spec: NBodySpec, *,
     return SimpleMechanicalSystem(
         mass_matrix=nbody_mass_matrix(spec), potential=potential,
         potential_gradient=gradient, alpha=-1.0,
-        masses=np.asarray(spec.masses), dim=spec.dim,
-        collision_threshold=collision_threshold, name="nbody")
-
-
-def collision_guard(spec: NBodySpec, threshold: float = 1e-6):
-    """A per-state guard for the integrator: raises inside the threshold."""
-
-    def guard(z: PhasePoint):
-        if min_pairwise_distance(spec, z.q) <= threshold:
-            raise CollisionDetected("trajectory crossed the collision threshold")
-
-    return guard
+        masses=np.asarray(spec.masses), dim=spec.dim, name="nbody")
 
 
 def anisotropic_kepler_system(mu: float) -> SimpleMechanicalSystem:

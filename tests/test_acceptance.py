@@ -16,7 +16,6 @@ from scalesym import (
     ScalingAction,
     central_config_residual,
     certify_relative_equilibrium,
-    collision_guard,
     conformal_vector_field,
     damped_oscillator,
     euler_collinear_oracle,
@@ -114,7 +113,7 @@ def test_criterion_05_homothetic_orbit_law():
     q_e = np.array([0.5, 0.0, 0.0, -0.5, 0.0, 0.0])
     p_e = momentum_from_config(system, action, 2.0, q_e)
     traj = integrate(system.hamiltonian_field(), 0.0, PhasePoint(q_e, p_e),
-                     1.0, 1e-4, guard=collision_guard(spec))
+                     1.0, 1e-4)
     eta = (3.0 * traj.times + 1.0) ** (2.0 / 3.0)
     worst = 0.0
     for k in range(len(traj)):
@@ -134,9 +133,9 @@ def test_criterion_06_generalized_noether():
     rot = q.reshape(3, 2) @ np.array([[0.0, 1.0], [-1.0, 0.0]])
     p = momentum_from_config(system, action, xi, q) + 0.3 * rot.ravel()
     traj = integrate(system.hamiltonian_field(), 0.0, PhasePoint(q, p),
-                     1.0, 2e-4, action=action, guard=collision_guard(spec))
+                     1.0, 2e-4, action=action)
     # F = J - H t - (1/2) int 2K dt for b = -1, c = 1/2
-    series = noether_series(system.hamiltonian_field(), action, traj)
+    series = noether_series(action, traj)
     drift = series.drift / max(1.0, abs(series.values[0]))
     dJ = np.gradient(traj.momentum, traj.times)
     rate_defect = float(np.max(np.abs(dJ[1:-1] - (traj.energy + traj.kinetic)[1:-1])))

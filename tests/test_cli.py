@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scalesym import euler_collinear_oracle, integrate, lagrange_triangle
+from scalesym import cli, euler_collinear_oracle, integrate, lagrange_triangle
 from scalesym.cli import main, read_trajectory_csv, write_trajectory_csv
 from scalesym.systems import damped_oscillator
 from scalesym.phase import PhasePoint
@@ -66,6 +70,22 @@ def test_solve_cc_collinear_matches_oracle(workdir):
     q = np.asarray(doc["q"])
     ratio = (q[1] - q[0]) / (q[2] - q[0])
     assert ratio == pytest.approx(euler_collinear_oracle((1.0, 1.0, 2.0)), abs=1e-8)
+
+
+def test_solve_cc_collinear_builds_the_system_once(workdir, monkeypatch):
+    dims = []
+    make_system = cli.make_system
+
+    def counting_make_system(spec, **kwargs):
+        dims.append(spec.get("dim"))
+        return make_system(spec, **kwargs)
+
+    monkeypatch.setattr(cli, "make_system", counting_make_system)
+    code = main(["solve-cc", "--system", str(workdir / "nbody3-unequal.json"),
+                 "--collinear", "--init", str(workdir / "collinear.csv"),
+                 "--out", str(workdir / "re-collinear.json")])
+    assert code == 0
+    assert dims == [1]
 
 
 def test_solve_cc_outputs_are_deterministic(workdir):
@@ -234,3 +254,20 @@ def test_integrate_head_on_collision_exit_code(workdir, capsys):
                  "--dt", "1e-3", "--out", str(workdir / "head-on.csv")])
     assert code == 4
     assert "under threshold 1.000e-02" in capsys.readouterr().err
+
+
+def test_spec_error_prints_one_stderr_line(workdir):
+    # A subprocess, because pytest's log capture would hide a second line
+    # written through the logging module.
+    spec = workdir / "nbody5-line.json"
+    spec.write_text(json.dumps({"type": "nbody", "masses": [1] * 5, "dim": 1}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "SCALESYM_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "scalesym.cli", "solve-cc", "--system", str(spec),
+         "--collinear", "--seed", "0", "--out", str(workdir / "re5.json")],
+        capture_output=True, text=True, env=env, cwd=workdir, timeout=120)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr

@@ -12,7 +12,6 @@ from scalesym import (
     ScalingAction,
     UncertifiedInput,
     certify_relative_equilibrium,
-    collision_guard,
     damped_oscillator,
     flow_jacobian,
     homothetic_factor,
@@ -89,7 +88,7 @@ def test_two_body_homothetic_expansion():
     q_e = np.array([0.5, 0.0, 0.0, -0.5, 0.0, 0.0])
     p_e = momentum_from_config(system, action, 2.0, q_e)
     traj = integrate(system.hamiltonian_field(), 0.0, PhasePoint(q_e, p_e),
-                     1.0, 1e-3, guard=collision_guard(spec))
+                     1.0, 1e-3)
     eta = (3.0 * traj.times + 1.0) ** (2.0 / 3.0)
     assert np.max(np.abs(traj.qs - eta[:, None] * q_e)) < 1e-6
 
@@ -167,8 +166,8 @@ def _expanding_triangle(twist=0.3):
 def test_noether_constant_nbody_kepler():
     spec, system, action, z0 = _expanding_triangle()
     traj = integrate(system.hamiltonian_field(), 0.0, z0, 1.0, 5e-4,
-                     action=action, guard=collision_guard(spec))
-    series = noether_series(system.hamiltonian_field(), action, traj)
+                     action=action)
+    series = noether_series(action, traj)
     assert series.drift / max(1.0, abs(series.values[0])) < 1e-6
     # pointwise dJ/dt = H + K for b = -1, c = 1/2
     dJ = np.gradient(traj.momentum, traj.times)
@@ -190,7 +189,7 @@ def test_noether_degree_minus_two_zero_energy():
     # and the full Noether combination is conserved off the zero level too
     z1 = PhasePoint(q0, [0.2, 1.5 * p_mag])
     traj1 = integrate(system.hamiltonian_field(), 0.0, z1, 1.0, 1e-3, action=action)
-    series = noether_series(system.hamiltonian_field(), action, traj1)
+    series = noether_series(action, traj1)
     assert series.drift < 1e-8
 
 
@@ -229,7 +228,7 @@ def test_homothetic_factor_equal_exponents():
 def test_homothetic_orbit_two_body():
     spec, system, action, re = _two_body_re()
     report = verify_homothetic_orbit(system.hamiltonian_field(), action, re,
-                                     1.0, 1e-3, guard=collision_guard(spec))
+                                     1.0, 1e-3)
     assert report.homothetic_deviation < 1e-6
 
 
@@ -247,7 +246,7 @@ def test_homothetic_orbit_detects_perturbation():
     spec, system, action, re = _two_body_re()
     bad = dataclasses.replace(re, p=1.01 * re.p)
     report = verify_homothetic_orbit(system.hamiltonian_field(), action, bad,
-                                     1.0, 1e-3, guard=collision_guard(spec))
+                                     1.0, 1e-3)
     assert report.homothetic_deviation > 1e-3
 
 

@@ -14,7 +14,6 @@ from scalesym import (
     augmented_potential,
     central_config_residual,
     certify_relative_equilibrium,
-    collision_guard,
     euler_collinear_oracle,
     fd_gradient,
     lagrange_triangle,
@@ -228,7 +227,7 @@ def test_solver_certified_output_links_to_homothetic_orbit(triangle):
     q0 = q * (1.0 + rng.uniform(-0.05, 0.05, size=6))
     result = solve_central_configuration(system, action, q0, inertia_target=1.0)
     report = verify_homothetic_orbit(system.hamiltonian_field(), action, result,
-                                     1.0, 1e-3, guard=collision_guard(spec))
+                                     1.0, 1e-3)
     assert report.homothetic_deviation < 1e-5
 
 

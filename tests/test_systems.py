@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from scalesym import (
     CollisionDetected,
@@ -11,7 +13,6 @@ from scalesym import (
     SchemaError,
     ScalingAction,
     central_config_residual,
-    collision_guard,
     damped_oscillator,
     euler_collinear_oracle,
     fd_gradient,
@@ -96,11 +97,62 @@ def test_nbody_collision_threshold():
 def test_collision_guard_stops_freefall():
     # two bodies released at rest collapse within t < 1
     spec = NBodySpec((1.0, 1.0), dim=3)
-    system = nbody_system(spec)
+    system = nbody_system(spec, collision_threshold=1e-2)
     z0 = PhasePoint([0.5, 0, 0, -0.5, 0, 0], np.zeros(6))
     with pytest.raises(CollisionDetected):
-        integrate(system.hamiltonian_field(), 0.0, z0, 1.0, 1e-4,
-                  guard=collision_guard(spec, 1e-2))
+        integrate(system.hamiltonian_field(), 0.0, z0, 1.0, 1e-4)
+
+
+_masses = st.floats(0.1, 5.0)
+
+
+@st.composite
+def _nbody_configurations(draw):
+    bodies, dim = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+    spec = NBodySpec(tuple(draw(st.lists(_masses, min_size=bodies,
+                                         max_size=bodies))), dim=dim)
+    q = draw(arrays(float, spec.n, elements=st.floats(-2.0, 2.0)))
+    return spec, q
+
+
+@st.composite
+def _separated_nbody_configurations(draw):
+    # body k sits within 0.3 of (k, 0, ...), so separations are at least 0.4
+    spec, jitter = draw(_nbody_configurations())
+    lattice = np.zeros((spec.bodies, spec.dim))
+    lattice[:, 0] = np.arange(spec.bodies)
+    return spec, lattice.ravel() + 0.15 * jitter
+
+
+def _brute_force_min_distance(spec, q):
+    pos = q.reshape(spec.bodies, spec.dim)
+    return min(float(np.sqrt(((pos[i] - pos[j]) ** 2).sum()))
+               for i in range(spec.bodies) for j in range(i + 1, spec.bodies))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_nbody_configurations())
+def test_kernel_collision_check_matches_brute_force_separation(case):
+    spec, q = case
+    d = _brute_force_min_distance(spec, q)
+    assert min_pairwise_distance(spec, q) == d
+    for threshold in (d, d / 2):
+        if d <= threshold:
+            with pytest.raises(CollisionDetected):
+                nbody_potential_and_gradient(spec, q,
+                                             collision_threshold=threshold)
+        else:
+            nbody_potential_and_gradient(spec, q, collision_threshold=threshold)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_separated_nbody_configurations())
+def test_kernel_gradient_matches_fd_on_separated_configurations(case):
+    spec, q = case
+    _, grad = nbody_potential_and_gradient(spec, q)
+    fd = fd_gradient(lambda x: nbody_potential_and_gradient(spec, x)[0], q)
+    scale = max(1.0, np.max(np.abs(fd)))
+    assert np.max(np.abs(grad - fd)) / scale < 1e-6
 
 
 # --- make_system --------------------------------------------------------------
