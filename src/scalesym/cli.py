@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .dynamics import Trajectory, integrate, noether_series, \
     verify_conformal_flow, verify_homothetic_orbit
-from .equilibria import RelativeEquilibrium, momentum_from_config, \
+from .equilibria import certify_relative_equilibrium, momentum_from_config, \
     solve_central_configuration, xi_squared_from_config
 from .errors import BlowupWindow, CollisionDetected, DimensionMismatch, \
     NonFiniteValue, SchemaError, SolverDidNotConverge, UncertifiedInput
@@ -315,17 +315,17 @@ def cmd_integrate(args) -> int:
 
 def cmd_homothetic(args) -> int:
     re_doc = _load_json(args.re)
-    for key in ("q", "p", "xi", "system"):
+    for key in ("q", "xi", "system"):
         if key not in re_doc:
             raise SchemaError(f"relative-equilibrium JSON lacks {key!r}")
     built = make_system(re_doc["system"], samples=args.samples, seed=args.seed)
     system, action = _mechanical_or_die(built)
-    re = RelativeEquilibrium(
-        q=np.asarray(re_doc["q"], float), p=np.asarray(re_doc["p"], float),
-        xi=float(re_doc["xi"]), residual_cc=float(re_doc.get("residual_cc", 0.0)),
-        residual_full=float(re_doc.get("residual_full", 0.0)),
-        certified=bool(re_doc.get("certified", False)),
-        tol=float(re_doc.get("tol", 1e-10)))
+    # Earn the certificate again; the file's p, flag and residuals are ignored.
+    q = np.atleast_1d(np.asarray(re_doc["q"], float))
+    if q.shape != (system.n,):
+        raise DimensionMismatch(f"q has shape {q.shape}, expected ({system.n},)")
+    re = certify_relative_equilibrium(system, action, q, float(re_doc["xi"]),
+                                      tol=args.tol)
     report = verify_homothetic_orbit(system.hamiltonian_field(), action, re,
                                      args.t_final, args.dt)
     payload = report.to_dict() | {"system": re_doc["system"],

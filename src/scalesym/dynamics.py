@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BlowupWindow, DimensionMismatch, NonFiniteValue, UncertifiedInput
 from .phase import PhasePoint, ScalarField, fd_jacobian, omega_matrix
-from .scaling import ScalingAction, act_phase, momentum_map
+from .scaling import ScalingAction, _lift, _momentum
 
 
 @dataclass(frozen=True)
@@ -93,15 +93,6 @@ class FlowReport:
         return {k: v for k, v in self.__dict__.items()}
 
 
-def _vector_field(F: ScalarField, c: float) -> Callable[[np.ndarray], np.ndarray]:
-    def X(flat: np.ndarray) -> np.ndarray:
-        z = PhasePoint.from_flat(flat)
-        gq, gp = F.grad(z)
-        return np.concatenate((gp, -np.asarray(gq, float) + c * z.p))
-
-    return X
-
-
 def _step_count(t_final: float, dt: float) -> int:
     if dt <= 0 or t_final < 0:
         raise ValueError("need dt > 0 and t_final >= 0")
@@ -109,6 +100,30 @@ def _step_count(t_final: float, dt: float) -> int:
     if abs(m * dt - t_final) > 1e-9 * max(dt, t_final):
         raise ValueError(f"t_final={t_final} is not a multiple of dt={dt}")
     return m
+
+
+def _rk4(F: ScalarField, c: float, y: np.ndarray, m: int, dt: float,
+         node: Callable | None = None) -> np.ndarray:
+    """m RK4 steps of dt from the flat state y = (q, p), returning the last
+    one; each node is checked for finiteness, then seen by node(k, y, X(y))."""
+    n = len(y) // 2
+
+    def X(y: np.ndarray) -> np.ndarray:
+        gq, gp = F.grad(y[:n], y[n:])
+        return np.concatenate((gp, -np.asarray(gq, float) + c * y[n:]))
+
+    for k in range(m + 1):
+        if k:
+            k2 = X(y + 0.5 * dt * ydot)
+            k3 = X(y + 0.5 * dt * k2)
+            k4 = X(y + dt * k3)
+            y = y + (dt / 6.0) * (ydot + 2 * k2 + 2 * k3 + k4)
+        if not np.isfinite(y).all():
+            raise NonFiniteValue(f"state became non-finite at t={k * dt}")
+        ydot = X(y)
+        if node is not None:
+            node(k, y, ydot)
+    return y
 
 
 def integrate(F: ScalarField, c: float, z0: PhasePoint, t_final: float,
@@ -119,56 +134,34 @@ def integrate(F: ScalarField, c: float, z0: PhasePoint, t_final: float,
     (the n-body kernel raises CollisionDetected inside its threshold).
     """
     m = _step_count(t_final, dt)
-    X = _vector_field(F, c)
     n = z0.n
 
-    times = np.empty(m + 1)
     qs = np.empty((m + 1, n))
     ps = np.empty((m + 1, n))
     energy = np.empty(m + 1)
     momentum = np.empty(m + 1)
     theta_rate = np.empty(m + 1)
-    int_theta = np.empty(m + 1)
 
-    def record(k: int, t: float, flat: np.ndarray, xdot: np.ndarray):
+    def record(k: int, y: np.ndarray, ydot: np.ndarray):
         # theta(X) = p . dF/dp and dq/dt = dF/dp, so reuse the node's X eval.
-        if not np.isfinite(flat).all():
-            raise NonFiniteValue(f"state became non-finite at t={t}")
-        z = PhasePoint.from_flat(flat)
-        times[k] = t
-        qs[k] = z.q
-        ps[k] = z.p
-        energy[k] = F.value(z)
-        momentum[k] = momentum_map(action, z) if action is not None else float(z.p @ z.q)
-        theta_rate[k] = float(z.p @ xdot[:n])
+        q, p = y[:n], y[n:]
+        qs[k], ps[k] = q, p
+        energy[k] = F.value(q, p)
+        momentum[k] = _momentum(action, q, p) if action is not None else float(p @ q)
+        theta_rate[k] = float(p @ ydot[:n])
 
-    flat = z0.flat()
-    xdot = X(flat)
-    record(0, 0.0, flat, xdot)
-    int_theta[0] = 0.0
-    for k in range(1, m + 1):
-        k1 = xdot
-        k2 = X(flat + 0.5 * dt * k1)
-        k3 = X(flat + 0.5 * dt * k2)
-        k4 = X(flat + dt * k3)
-        flat = flat + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        xdot = X(flat)
-        record(k, k * dt, flat, xdot)
-        int_theta[k] = int_theta[k - 1] + 0.5 * dt * (theta_rate[k - 1] + theta_rate[k])
-
-    return Trajectory(times=times, qs=qs, ps=ps, energy=energy,
+    _rk4(F, c, z0.flat(), m, dt, record)
+    trapezoids = 0.5 * dt * (theta_rate[:-1] + theta_rate[1:])
+    return Trajectory(times=np.arange(m + 1) * dt, qs=qs, ps=ps, energy=energy,
                       momentum=momentum, kinetic=theta_rate / 2.0,
-                      int_theta=int_theta)
+                      int_theta=np.concatenate(([0.0], np.cumsum(trapezoids))))
 
 
 def flow_jacobian(F: ScalarField, c: float, z0: PhasePoint, t: float,
                   dt: float) -> np.ndarray:
     """Central-difference Jacobian of the time-t flow map at z0 (2n x 2n)."""
-    def flow_from(start: np.ndarray) -> np.ndarray:
-        traj = integrate(F, c, PhasePoint.from_flat(start), t, dt)
-        return traj.final_state.flat()
-
-    return fd_jacobian(flow_from, z0.flat())
+    m = _step_count(t, dt)
+    return fd_jacobian(lambda y: _rk4(F, c, y, m, dt), z0.flat())
 
 
 def verify_conformal_flow(F: ScalarField, c: float, z0: PhasePoint, t: float,
@@ -209,7 +202,7 @@ def noether_series(action: ScalingAction, traj: Trajectory) -> NoetherSeries:
     """The conserved combination F = J + b H t - c int theta(X_H) dt along a
     Hamiltonian (c = 0) trajectory, and its max drift from F(0).
     """
-    J = np.array([momentum_map(action, traj.state(k)) for k in range(len(traj))])
+    J = np.array([_momentum(action, q, p) for q, p in zip(traj.qs, traj.ps)])
     F = J + action.b * traj.energy * traj.times - action.c * traj.int_theta
     return NoetherSeries(values=F, drift=float(np.max(np.abs(F - F[0]))))
 
@@ -252,8 +245,8 @@ def verify_homothetic_orbit(H: ScalarField, action: ScalingAction, re,
     eta = homothetic_factor(action, re.xi, traj.times)
     worst = 0.0
     for k in range(len(traj)):
-        ref = act_phase(action, float(eta[k]), z_e).flat()
-        num = traj.state(k).flat()
+        ref = np.concatenate(_lift(action, float(eta[k]), z_e.q, z_e.p))
+        num = np.concatenate((traj.qs[k], traj.ps[k]))
         dev = float(np.linalg.norm(num - ref)) / max(1.0, float(np.linalg.norm(ref)))
         worst = max(worst, dev)
     return FlowReport(t=t_final, dt=dt, homothetic_deviation=worst)

@@ -78,17 +78,17 @@ class SimpleMechanicalSystem:
         return 0.5 * float(p @ np.linalg.solve(self.mass_matrix, p))
 
     def hamiltonian(self, z: PhasePoint) -> float:
-        return self.kinetic(z.p) + float(self.potential(z.q))
+        return self._energy(z.q, z.p)
+
+    def _energy(self, q, p) -> float:
+        return self.kinetic(p) + float(self.potential(q))
 
     def hamiltonian_field(self) -> ScalarField:
-        def value(z: PhasePoint) -> float:
-            return self.hamiltonian(z)
+        def grad(q, p):
+            return (np.asarray(self.potential_gradient(q), dtype=float),
+                    np.linalg.solve(self.mass_matrix, p))
 
-        def grad(z: PhasePoint):
-            return (np.asarray(self.potential_gradient(z.q), dtype=float),
-                    np.linalg.solve(self.mass_matrix, z.p))
-
-        return ScalarField(value=value, grad=grad)
+        return ScalarField(value=self._energy, grad=grad)
 
 
 @dataclass(frozen=True)
@@ -225,13 +225,10 @@ def _solver_residual(system, action, q, xi, inertia_target, fix_xi):
 def solve_central_configuration(system: SimpleMechanicalSystem,
                                 action: ScalingAction, q0, *,
                                 inertia_target: float | None = None,
-                                xi0: float | None = None,
                                 fix_xi: float | None = None,
                                 tol: float = 1e-10,
                                 max_iter: int = 100,
-                                damping0: float = 1e-3,
-                                verify_symmetry: bool = True,
-                                seed: int = 0) -> RelativeEquilibrium:
+                                verify_symmetry: bool = True) -> RelativeEquilibrium:
     """Find a certified relative equilibrium by damped least squares.
 
     Unknowns are (q, xi); the residual stacks the central-configuration
@@ -248,7 +245,7 @@ def solve_central_configuration(system: SimpleMechanicalSystem,
     q = np.asarray(q0, dtype=float).copy()
     if verify_symmetry:
         report = verify_scaling_symmetry(action, system.hamiltonian_field(),
-                                         samples=8, seed=seed)
+                                         samples=8, seed=0)
         if not report.passed:
             raise SymmetryVerificationFailed(
                 "(action, H) failed scaling-symmetry verification; "
@@ -258,8 +255,6 @@ def solve_central_configuration(system: SimpleMechanicalSystem,
         inertia_target = locked_inertia(system, action, q)
     if fix_xi is not None:
         xi = float(fix_xi)
-    elif xi0 is not None:
-        xi = float(xi0)
     else:
         try:
             xi = float(np.sqrt(max(xi_squared_from_config(system, q), 0.0)))
@@ -276,13 +271,15 @@ def solve_central_configuration(system: SimpleMechanicalSystem,
 
     x = np.append(q, xi) if fix_xi is None else q
     r = residual(x)
-    lam = damping0
-    for iteration in range(1, max_iter + 1):
-        if np.max(np.abs(r)) <= tol:
-            q_sol = x[:-1] if fix_xi is None else x
-            xi_sol = x[-1] if fix_xi is None else xi
-            return certify_relative_equilibrium(system, action, q_sol, xi_sol,
-                                                tol=tol, iterations=iteration - 1)
+    lam = 1e-3
+    iteration = 0
+    while np.max(np.abs(r)) > tol:
+        if iteration == max_iter:
+            raise SolverDidNotConverge(
+                f"no convergence within {max_iter} iterations",
+                diagnostics={"residual": float(np.max(np.abs(r))),
+                             "iterations": max_iter})
+        iteration += 1
         jac = fd_jacobian(residual, x)
         accepted = False
         while not accepted:
@@ -308,12 +305,7 @@ def solve_central_configuration(system: SimpleMechanicalSystem,
                         diagnostics={"residual": float(np.max(np.abs(r))),
                                      "iterations": iteration})
 
-    if np.max(np.abs(r)) <= tol:
-        q_sol = x[:-1] if fix_xi is None else x
-        xi_sol = x[-1] if fix_xi is None else xi
-        return certify_relative_equilibrium(system, action, q_sol, xi_sol,
-                                            tol=tol, iterations=max_iter)
-    raise SolverDidNotConverge(
-        f"no convergence within {max_iter} iterations",
-        diagnostics={"residual": float(np.max(np.abs(r))),
-                     "iterations": max_iter})
+    q_sol = x[:-1] if fix_xi is None else x
+    xi_sol = x[-1] if fix_xi is None else xi
+    return certify_relative_equilibrium(system, action, q_sol, xi_sol,
+                                        tol=tol, iterations=iteration)

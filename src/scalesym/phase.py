@@ -19,6 +19,10 @@ vector field with parameter c is the unique X satisfying
 which in these coordinates reads X = (dF/dp, -dF/dq + c p).  With c = 0
 this is the ordinary Hamiltonian vector field.
 
+``PhasePoint`` and ``TangentVector`` are validated once, where a state
+enters or leaves the public API; inner loops (RK4 stages, finite-difference
+probes, per-row momenta and lifts) pass a ``ScalarField`` bare (q, p) arrays.
+
 The module also provides the central-difference Jacobian behind every
 numerical derivative in the package: the gradient oracle for analytic
 gradients, the lift and flow Jacobians the certificates test, and the
@@ -110,20 +114,21 @@ class TangentVector:
 class ScalarField:
     """A smooth function on phase space together with its gradient.
 
-    ``value`` maps a PhasePoint to a float; ``grad`` maps a PhasePoint to
-    the pair (dF/dq, dF/dp).  Use :meth:`from_value` when no analytic
+    ``value(q, p)`` maps the bare coordinate arrays to a float; ``grad(q, p)``
+    returns the pair (dF/dq, dF/dp).  Use :meth:`from_value` when no analytic
     gradient is available; the finite-difference fallback satisfies the
     same contract at reduced accuracy.
     """
 
-    value: Callable[[PhasePoint], float]
-    grad: Callable[[PhasePoint], tuple[np.ndarray, np.ndarray]]
+    value: Callable[[np.ndarray, np.ndarray], float]
+    grad: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     @classmethod
-    def from_value(cls, value: Callable[[PhasePoint], float]) -> "ScalarField":
-        def fd_grad(z: PhasePoint):
-            g = fd_gradient(lambda w: value(PhasePoint.from_flat(w)), z.flat())
-            return g[: z.n], g[z.n :]
+    def from_value(cls, value: Callable[..., float]) -> "ScalarField":
+        def fd_grad(q, p):
+            n = len(q)
+            g = fd_gradient(lambda w: value(w[:n], w[n:]), np.concatenate((q, p)))
+            return g[:n], g[n:]
 
         return cls(value=value, grad=fd_grad)
 
@@ -151,7 +156,7 @@ def canonical_omega(u: TangentVector, v: TangentVector) -> float:
 
 def conformal_vector_field(F: ScalarField, c: float, z: PhasePoint) -> TangentVector:
     """The conformal Hamiltonian vector field (dF/dp, -dF/dq + c p) at z."""
-    gq, gp = F.grad(z)
+    gq, gp = F.grad(z.q, z.p)
     gq = np.asarray(gq, dtype=float)
     gp = np.asarray(gp, dtype=float)
     if not (np.isfinite(gq).all() and np.isfinite(gp).all()):
@@ -203,9 +208,9 @@ def check_gradient(F: ScalarField, points) -> float:
     """
     worst = 0.0
     for z in points:
-        gq, gp = F.grad(z)
+        gq, gp = F.grad(z.q, z.p)
         analytic = np.concatenate((np.asarray(gq, float), np.asarray(gp, float)))
-        numeric = fd_gradient(lambda w: F.value(PhasePoint.from_flat(w)), z.flat())
+        numeric = fd_gradient(lambda w: F.value(w[:z.n], w[z.n:]), z.flat())
         scale = max(1.0, float(np.max(np.abs(numeric))))
         worst = max(worst, float(np.max(np.abs(analytic - numeric))) / scale)
     return worst

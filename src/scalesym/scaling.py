@@ -124,17 +124,21 @@ def config_jacobian(action: ScalingAction, g: float, q) -> np.ndarray:
     return np.asarray(action.dpsi(g, q), dtype=float)
 
 
-def act_phase(action: ScalingAction, g: float, z: PhasePoint) -> PhasePoint:
-    """Scaled cotangent lift: (Psi_g(q), g^c (D Psi_g(q))^{-T} p)."""
+def _lift(action: ScalingAction, g: float, q, p) -> tuple[np.ndarray, np.ndarray]:
+    """act_phase on bare coordinate arrays."""
     if g <= 0:
         raise ValueError(f"group element must be positive, got g={g}")
     if action.is_dilation:
         # (D Psi_g)^{-T} is diagonal: momenta pick up g^{c - w_i}.
-        return PhasePoint(g ** action.weights * z.q,
-                          g ** (action.c - action.weights) * z.p)
-    jac = config_jacobian(action, g, z.q)
-    p_new = g ** action.c * np.linalg.solve(jac.T, z.p)
-    return PhasePoint(act_config(action, g, z.q), p_new)
+        return g ** action.weights * q, g ** (action.c - action.weights) * p
+    jac = config_jacobian(action, g, q)
+    p_new = g ** action.c * np.linalg.solve(jac.T, p)
+    return act_config(action, g, q), p_new
+
+
+def act_phase(action: ScalingAction, g: float, z: PhasePoint) -> PhasePoint:
+    """Scaled cotangent lift: (Psi_g(q), g^c (D Psi_g(q))^{-T} p)."""
+    return PhasePoint(*_lift(action, g, z.q, z.p))
 
 
 def generator_config(action: ScalingAction, xi: float, q) -> np.ndarray:
@@ -161,23 +165,28 @@ def generator_phase(action: ScalingAction, xi: float, z: PhasePoint) -> TangentV
     return TangentVector(dq, dp)
 
 
+def _momentum(action: ScalingAction, q, p) -> float:
+    """momentum_map on bare coordinate arrays."""
+    return float(p @ generator_config(action, 1.0, q))
+
+
 def momentum_map(action: ScalingAction, z: PhasePoint) -> float:
     """Conformal momentum map J(q, p) = p . xi_Q(q) at xi = 1.
 
     The conformal momentum function for general xi is J_xi = xi * J.
     """
-    return float(z.p @ generator_config(action, 1.0, z.q))
+    return _momentum(action, z.q, z.p)
 
 
 def momentum_field(action: ScalingAction, xi: float = 1.0) -> ScalarField:
     """J_xi as a ScalarField with analytic gradient."""
 
-    def value(z: PhasePoint) -> float:
-        return xi * momentum_map(action, z)
+    def value(q, p) -> float:
+        return xi * _momentum(action, q, p)
 
-    def grad(z: PhasePoint):
-        djac = generator_config_jacobian(action, xi, z.q)
-        return djac.T @ z.p, generator_config(action, xi, z.q)
+    def grad(q, p):
+        djac = generator_config_jacobian(action, xi, q)
+        return djac.T @ p, generator_config(action, xi, q)
 
     return ScalarField(value=value, grad=grad)
 
@@ -233,7 +242,7 @@ def _default_probe(action: ScalingAction, H: ScalarField, rng) -> PhasePoint:
         z = PhasePoint(rng.uniform(-1.25, 1.25, size=action.n),
                        rng.uniform(-1.25, 1.25, size=action.n))
         try:
-            value = H.value(z)
+            value = H.value(z.q, z.p)
         except Exception:
             continue
         if np.isfinite(value) and abs(value) < 1e3:
@@ -247,10 +256,9 @@ def _rel(err: float, *scales: float) -> float:
 
 def phase_jacobian_fd(action: ScalingAction, g: float, z: PhasePoint) -> np.ndarray:
     """Finite-difference Jacobian of act_phase(g, .) at z (2n x 2n)."""
-    def mapped(w):
-        return act_phase(action, g, PhasePoint.from_flat(w)).flat()
-
-    return fd_jacobian(mapped, z.flat())
+    n = z.n
+    return fd_jacobian(lambda w: np.concatenate(_lift(action, g, w[:n], w[n:])),
+                       z.flat())
 
 
 def verify_scaling_symmetry(action: ScalingAction, H: ScalarField,
@@ -290,8 +298,9 @@ def verify_scaling_symmetry(action: ScalingAction, H: ScalarField,
             residuals["conformality"],
             _rel(float(np.max(np.abs(lhs - scale * omega))), scale))
 
-        h0 = H.value(z)
-        h1 = H.value(act_phase(action, g, z))
+        h0 = H.value(z.q, z.p)
+        z_g = act_phase(action, g, z)
+        h1 = H.value(z_g.q, z_g.p)
         residuals["invariance"] = max(
             residuals["invariance"],
             _rel(abs(h1 - g ** action.b * h0), h1, g ** action.b * h0))
@@ -305,13 +314,13 @@ def verify_scaling_symmetry(action: ScalingAction, H: ScalarField,
 
         j0 = momentum_map(action, z)
         xj = conformal_vector_field(J_field, action.c, z)
-        gq, gp = J_field.grad(z)
+        gq, gp = J_field.grad(z.q, z.p)
         directional = float(gq @ xj.dq + gp @ xj.dp)
         residuals["scaling-function"] = max(
             residuals["scaling-function"],
             _rel(abs(directional - action.c * j0), j0))
 
-        j1 = momentum_map(action, act_phase(action, g, z))
+        j1 = momentum_map(action, z_g)
         residuals["momentum-invariance"] = max(
             residuals["momentum-invariance"],
             _rel(abs(j1 - g ** action.c * j0), j1, j0))

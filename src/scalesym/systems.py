@@ -190,11 +190,11 @@ def damped_oscillator(friction: float) -> ConformalSystem:
     q'' = -friction q' - q.
     """
 
-    def value(z: PhasePoint) -> float:
-        return 0.5 * float(z.p @ z.p) + 0.5 * float(z.q @ z.q)
+    def value(q, p) -> float:
+        return 0.5 * float(p @ p) + 0.5 * float(q @ q)
 
-    def grad(z: PhasePoint):
-        return z.q.copy(), z.p.copy()
+    def grad(q, p):
+        return q.copy(), p.copy()
 
     return ConformalSystem(field=ScalarField(value=value, grad=grad),
                            c=-friction, z0=np.array([1.0, 0.0]),

@@ -20,6 +20,26 @@ def random_phase_point(rng, n: int, scale: float = 1.0) -> PhasePoint:
 
 
 @pytest.fixture
+def phase_point_count(monkeypatch):
+    """count(f) runs f() and returns how many PhasePoints it validated."""
+    calls = []
+    validate = PhasePoint.__post_init__
+
+    def counted(self):
+        calls.append(1)
+        validate(self)
+
+    monkeypatch.setattr(PhasePoint, "__post_init__", counted)
+
+    def count(f) -> int:
+        calls.clear()
+        f()
+        return len(calls)
+
+    return count
+
+
+@pytest.fixture
 def two_body():
     """Unit masses at (+-0.5, 0, 0): a central configuration with xi^2 = 4."""
     spec = NBodySpec((1.0, 1.0), dim=3)

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scalesym import cli, euler_collinear_oracle, integrate, lagrange_triangle
+from scalesym import cli, certify_relative_equilibrium, euler_collinear_oracle, \
+    integrate, lagrange_triangle
 from scalesym.cli import main, read_trajectory_csv, write_trajectory_csv
 from scalesym.systems import damped_oscillator
 from scalesym.phase import PhasePoint
@@ -221,6 +222,41 @@ def test_homothetic_two_body(workdir):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["homothetic_deviation"] <= 1e-6
+
+
+def test_homothetic_fixtures_certify_at_zero_residual():
+    # homothetic re-certifies q and xi; both fixtures earn their flag exactly.
+    doc = _two_body_re_doc()
+    built = cli.make_system(doc["system"])
+    q = np.asarray(doc["q"], float)
+    for xi, p in ((2.0, doc["p"]), (-2.0, [-1.0, 0, 0, 1.0, 0, 0])):
+        re = certify_relative_equilibrium(built.system, built.action, q, xi)
+        assert re.certified and re.residual_full == 0.0
+        assert list(re.p) == p
+
+
+def test_homothetic_recertifies_a_tampered_equilibrium(workdir):
+    re_path = workdir / "re-tampered.json"
+    assert main(["solve-cc", "--system", str(workdir / "nbody3.json"),
+                 "--init", str(workdir / "triangle-perturbed.csv"),
+                 "--out", str(re_path)]) == 0
+    doc = json.loads(re_path.read_text())
+    assert doc["certified"]
+    doc["q"][0] += 0.3  # the flag is left in place
+    re_path.write_text(json.dumps(doc))
+    code = main(["homothetic", "--re", str(re_path), "--t-final", "0.1",
+                 "--dt", "1e-3", "--out", str(workdir / "h-tampered.json")])
+    assert code == 4
+
+
+def test_homothetic_rejects_a_q_of_the_wrong_length(workdir):
+    doc = _two_body_re_doc()
+    doc["q"] = doc["q"][:5]
+    re_path = workdir / "short-re.json"
+    re_path.write_text(json.dumps(doc))
+    code = main(["homothetic", "--re", str(re_path), "--t-final", "0.1",
+                 "--out", str(workdir / "h-short.json")])
+    assert code == 1
 
 
 def test_homothetic_past_blowup_window(workdir):

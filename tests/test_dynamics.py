@@ -7,12 +7,14 @@ import pytest
 from scalesym import (
     BlowupWindow,
     NBodySpec,
+    NonFiniteValue,
     PhasePoint,
     ScalarField,
     ScalingAction,
     UncertifiedInput,
     certify_relative_equilibrium,
     damped_oscillator,
+    fd_jacobian,
     flow_jacobian,
     homothetic_factor,
     integrate,
@@ -30,8 +32,8 @@ from scalesym import (
 from conftest import kepler_action
 
 
-FREE = ScalarField(value=lambda z: 0.5 * float(z.p @ z.p),
-                   grad=lambda z: (np.zeros(z.n), z.p.copy()))
+FREE = ScalarField(value=lambda q, p: 0.5 * float(p @ p),
+                   grad=lambda q, p: (np.zeros(len(q)), p.copy()))
 
 GAMMA = 0.05
 OMEGA = math.sqrt(1.0 - GAMMA ** 2)
@@ -116,8 +118,8 @@ def test_flow_jacobian_damped_oscillator_matrix_exponential():
 
 
 def test_conformal_flow_hamiltonian_case_is_symplectic():
-    osc = ScalarField(value=lambda z: 0.5 * float(z.p @ z.p) + 0.5 * float(z.q @ z.q),
-                      grad=lambda z: (z.q.copy(), z.p.copy()))
+    osc = ScalarField(value=lambda q, p: 0.5 * float(p @ p) + 0.5 * float(q @ q),
+                      grad=lambda q, p: (q.copy(), p.copy()))
     report = verify_conformal_flow(osc, 0.0, PhasePoint([0.7], [-0.2]), 1.0, 1e-3)
     assert report.volume_defect < 1e-6
     assert report.conformal_defect < 1e-6
@@ -195,8 +197,8 @@ def test_noether_degree_minus_two_zero_energy():
 
 def test_noether_rate_harmonic_oscillator_dilation():
     # dJ/dt = -b H + c theta(X_H) = -2H + 4K for c = b = 2
-    osc = ScalarField(value=lambda z: 0.5 * float(z.p @ z.p) + 0.5 * float(z.q @ z.q),
-                      grad=lambda z: (z.q.copy(), z.p.copy()))
+    osc = ScalarField(value=lambda q, p: 0.5 * float(p @ p) + 0.5 * float(q @ q),
+                      grad=lambda q, p: (q.copy(), p.copy()))
     action = ScalingAction.uniform_dilation(1, 2.0, 2.0)
     traj = integrate(osc, 0.0, PhasePoint([0.8], [0.3]), 2.0, 1e-3, action=action)
     dJ = np.gradient(traj.momentum, traj.times)
@@ -265,3 +267,56 @@ def test_homothetic_orbit_requires_certification():
     with pytest.raises(UncertifiedInput):
         verify_homothetic_orbit(system.hamiltonian_field(), action, uncertified,
                                 0.5, 1e-3)
+
+
+# --- flat-array inner loops -------------------------------------------------
+
+def _flow_case(name):
+    if name == "nbody3":
+        _, system, _, z0 = _expanding_triangle()
+        return system.hamiltonian_field(), 0.0, z0
+    system = damped_oscillator(0.1)
+    return system.field, system.c, PhasePoint.from_flat(system.z0)
+
+
+@pytest.mark.parametrize("name", ["nbody3", "damped"])
+def test_flow_jacobian_is_fd_of_integrate(name):
+    # The probes skip the diagnostics, but their final states are integrate's.
+    F, c, z0 = _flow_case(name)
+
+    def flow(y):
+        return integrate(F, c, PhasePoint.from_flat(y), 0.1, 1e-2).final_state.flat()
+
+    assert np.array_equal(flow_jacobian(F, c, z0, 0.1, 1e-2),
+                          fd_jacobian(flow, z0.flat()))
+
+
+@pytest.mark.parametrize("name", ["integrate", "integrate-action", "flow_jacobian",
+                                  "noether_series", "verify_homothetic_orbit"])
+def test_phase_points_do_not_grow_with_steps(phase_point_count, name):
+    dt = 1e-3
+    _, system, action, z0 = _expanding_triangle()
+    H = system.hamiltonian_field()
+    _, two_body, kepler, re = _two_body_re()
+
+    def run(t):  # the call whose PhasePoints are counted, on a window t
+        if name == "noether_series":
+            traj = integrate(H, 0.0, z0, t, dt, action=action)
+            return lambda: noether_series(action, traj)
+        return {
+            "integrate": lambda: integrate(H, 0.0, z0, t, dt),
+            "integrate-action": lambda: integrate(H, 0.0, z0, t, dt, action=action),
+            "flow_jacobian": lambda: flow_jacobian(H, 0.0, z0, t, dt),
+            "verify_homothetic_orbit": lambda: verify_homothetic_orbit(
+                two_body.hamiltonian_field(), kepler, re, t, dt),
+        }[name]
+
+    assert phase_point_count(run(10 * dt)) == phase_point_count(run(100 * dt))
+
+
+def test_integrate_overflowing_gradient_raises():
+    # dF/dq = exp(800 q) overflows at q = 1; the next node state is not finite.
+    field = ScalarField(value=lambda q, p: 0.0,
+                        grad=lambda q, p: (np.exp(800.0 * q), p.copy()))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteValue):
+        integrate(field, 0.0, PhasePoint([1.0], [0.0]), 0.1, 1e-2)

@@ -232,8 +232,8 @@ def test_verifier_detects_wrong_lift_exponent():
 
 def test_verifier_accepts_harmonic_oscillator_dilation():
     # K -> g^2 K, U -> g^2 U, omega -> g^2 omega for U = q^2 / 2, c = b = 2
-    osc = ScalarField(value=lambda z: 0.5 * float(z.p @ z.p) + 0.5 * float(z.q @ z.q),
-                      grad=lambda z: (z.q.copy(), z.p.copy()))
+    osc = ScalarField(value=lambda q, p: 0.5 * float(p @ p) + 0.5 * float(q @ q),
+                      grad=lambda q, p: (q.copy(), p.copy()))
     report = verify_scaling_symmetry(ScalingAction.uniform_dilation(2, 2.0, 2.0),
                                      osc, samples=32, seed=0)
     assert report.passed
@@ -293,3 +293,12 @@ def test_custom_action_validation_rejects_group_law_violation():
 
     with pytest.raises(ValueError, match="group law"):
         ScalingAction.custom(2, 0.5, 0.0, psi, dpsi, xi_q, dxi_q)
+
+
+def test_phase_jacobian_fd_phase_points_do_not_grow_with_n(phase_point_count):
+    rng = np.random.default_rng(6)
+    counts = []
+    for n in (2, 6):
+        action, z = kepler_action(n), random_phase_point(rng, n)
+        counts.append(phase_point_count(lambda: phase_jacobian_fd(action, 1.3, z)))
+    assert counts[0] == counts[1]

@@ -268,8 +268,8 @@ def test_damped_oscillator_definition():
     system = damped_oscillator(0.25)
     assert system.c == -0.25
     z = PhasePoint([1.0], [2.0])
-    assert system.field.value(z) == pytest.approx(2.5)
-    gq, gp = system.field.grad(z)
+    assert system.field.value(z.q, z.p) == pytest.approx(2.5)
+    gq, gp = system.field.grad(z.q, z.p)
     assert gq == pytest.approx([1.0]) and gp == pytest.approx([2.0])
 
 
