@@ -12,6 +12,14 @@ against the structural identities
 
 and the energy-rate law dF/dt = c * theta(X_F^c) = c * p . dF/dp.
 
+``integrate`` and ``flow_jacobian`` share one RK4 loop on flat states
+y = (q, p).  The loop is written on the last axis, so it advances a
+(B, 2n) stack of states as readily as one state: ``flow_jacobian`` builds
+the 4n central-difference probes of z0 as one stack and integrates them
+together, with one gradient call per RK4 stage for the whole stack.
+Fields compute each row as if it came alone (the ``ScalarField``
+contract), so the stacked flow equals the row-by-row one bit for bit.
+
 Each trajectory carries per-step diagnostics: the conformal Hamiltonian H,
 the dilation momentum J, K = theta(X)/2 (the kinetic energy for simple
 mechanical systems), and the running trapezoid quadrature of theta(X),
@@ -26,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BlowupWindow, DimensionMismatch, NonFiniteValue, UncertifiedInput
-from .phase import PhasePoint, ScalarField, fd_jacobian, omega_matrix
+from .phase import PhasePoint, ScalarField, _fd_probes, _fd_quotients, omega_matrix
 from .scaling import ScalingAction, _lift, _momentum
 
 
@@ -104,13 +112,15 @@ def _step_count(t_final: float, dt: float) -> int:
 
 def _rk4(F: ScalarField, c: float, y: np.ndarray, m: int, dt: float,
          node: Callable | None = None) -> np.ndarray:
-    """m RK4 steps of dt from the flat state y = (q, p), returning the last
-    one; each node is checked for finiteness, then seen by node(k, y, X(y))."""
-    n = len(y) // 2
+    """m RK4 steps of dt from the flat state y = (q, p), or from a (B, 2n)
+    stack of them, returning the last one.  Each node is checked for
+    finiteness, then seen by node(k, y, X(y)); without a node callback the
+    field is not evaluated at the final node, which no step needs."""
+    n = y.shape[-1] // 2
 
     def X(y: np.ndarray) -> np.ndarray:
-        gq, gp = F.grad(y[:n], y[n:])
-        return np.concatenate((gp, -np.asarray(gq, float) + c * y[n:]))
+        gq, gp = F.grad(y[..., :n], y[..., n:])
+        return np.concatenate((gp, -np.asarray(gq, float) + c * y[..., n:]), axis=-1)
 
     for k in range(m + 1):
         if k:
@@ -120,6 +130,8 @@ def _rk4(F: ScalarField, c: float, y: np.ndarray, m: int, dt: float,
             y = y + (dt / 6.0) * (ydot + 2 * k2 + 2 * k3 + k4)
         if not np.isfinite(y).all():
             raise NonFiniteValue(f"state became non-finite at t={k * dt}")
+        if node is None and k == m:
+            break
         ydot = X(y)
         if node is not None:
             node(k, y, ydot)
@@ -159,9 +171,15 @@ def integrate(F: ScalarField, c: float, z0: PhasePoint, t_final: float,
 
 def flow_jacobian(F: ScalarField, c: float, z0: PhasePoint, t: float,
                   dt: float) -> np.ndarray:
-    """Central-difference Jacobian of the time-t flow map at z0 (2n x 2n)."""
+    """Central-difference Jacobian of the time-t flow map at z0 (2n x 2n).
+
+    The 4n probes of z0 advance as one (4n, 2n) stack, so F.grad is called
+    4m times for m steps, each time on the whole stack.  A collision or a
+    non-finite state in any probe aborts the whole Jacobian.
+    """
     m = _step_count(t, dt)
-    return fd_jacobian(lambda y: _rk4(F, c, y, m, dt), z0.flat())
+    probes, h = _fd_probes(z0.flat())
+    return _fd_quotients(_rk4(F, c, probes, m, dt), h)
 
 
 def verify_conformal_flow(F: ScalarField, c: float, z0: PhasePoint, t: float,

@@ -19,7 +19,7 @@ normalization row fixing the scale; rotational degeneracy is left to
 minimum-norm steps.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -52,6 +52,9 @@ class SimpleMechanicalSystem:
     masses: np.ndarray | None = None
     dim: int | None = None
     name: str = "mechanical"
+    # The diagonal of M when M is diagonal, else None; set from mass_matrix.
+    _mass_diagonal: np.ndarray | None = field(default=None, init=False,
+                                              repr=False, compare=False)
 
     def __post_init__(self):
         M = np.asarray(self.mass_matrix, dtype=float)
@@ -62,6 +65,9 @@ class SimpleMechanicalSystem:
         if np.any(np.linalg.eigvalsh(M) <= 0):
             raise ValueError("mass matrix must be positive definite")
         object.__setattr__(self, "mass_matrix", M)
+        diagonal = np.diagonal(M).copy()
+        object.__setattr__(self, "_mass_diagonal",
+                           diagonal if np.array_equal(M, np.diag(diagonal)) else None)
         if self.masses is not None:
             object.__setattr__(self, "masses", np.asarray(self.masses, dtype=float))
 
@@ -73,9 +79,21 @@ class SimpleMechanicalSystem:
     def translation_invariant(self) -> bool:
         return self.masses is not None and self.dim is not None
 
+    def _inverse_mass(self, p) -> np.ndarray:
+        """M^{-1} p, row by row for a (..., n) stack of momenta.
+
+        A diagonal M divides by its diagonal, which equals LAPACK's solve
+        bit for bit (multiplying by 1/m does not); any other M is solved
+        one right-hand side at a time, as for a single p.
+        """
+        p = np.asarray(p, dtype=float)
+        if self._mass_diagonal is not None:
+            return p / self._mass_diagonal
+        return np.linalg.solve(self.mass_matrix, p[..., None])[..., 0]
+
     def kinetic(self, p) -> float:
         p = np.asarray(p, dtype=float)
-        return 0.5 * float(p @ np.linalg.solve(self.mass_matrix, p))
+        return 0.5 * float(p @ self._inverse_mass(p))
 
     def hamiltonian(self, z: PhasePoint) -> float:
         return self._energy(z.q, z.p)
@@ -86,7 +104,7 @@ class SimpleMechanicalSystem:
     def hamiltonian_field(self) -> ScalarField:
         def grad(q, p):
             return (np.asarray(self.potential_gradient(q), dtype=float),
-                    np.linalg.solve(self.mass_matrix, p))
+                    self._inverse_mass(p))
 
         return ScalarField(value=self._energy, grad=grad)
 
@@ -139,7 +157,7 @@ def augmented_kinetic(system: SimpleMechanicalSystem, action: ScalingAction,
                       xi: float, z: PhasePoint) -> float:
     """K_xi(z) = (1/2) || p - M xi_Q(q) ||^2 in the M^{-1} metric."""
     diff = z.p - momentum_from_config(system, action, xi, z.q)
-    return 0.5 * float(diff @ np.linalg.solve(system.mass_matrix, diff))
+    return 0.5 * float(diff @ system._inverse_mass(diff))
 
 
 def augmented_hamiltonian(system: SimpleMechanicalSystem, action: ScalingAction,
@@ -181,7 +199,7 @@ def relative_equilibrium_residual(system: SimpleMechanicalSystem,
     grad_u = np.asarray(system.potential_gradient(z.q), dtype=float)
     ds = generator_config_jacobian(action, xi, z.q)
     block_dq = grad_u - ds.T @ z.p + action.c * xi * z.p
-    block_dp = np.linalg.solve(system.mass_matrix, z.p) - generator_config(action, xi, z.q)
+    block_dp = system._inverse_mass(z.p) - generator_config(action, xi, z.q)
     return np.concatenate((block_dq, block_dp))
 
 

@@ -22,11 +22,17 @@ this is the ordinary Hamiltonian vector field.
 ``PhasePoint`` and ``TangentVector`` are validated once, where a state
 enters or leaves the public API; inner loops (RK4 stages, finite-difference
 probes, per-row momenta and lifts) pass a ``ScalarField`` bare (q, p) arrays.
+A field's ``grad`` also takes stacks: q and p of shape (..., n), one state
+per row, with every row computed as if it came alone.  That is what lets
+``flow_jacobian`` integrate all of its probes at once.
 
 The module also provides the central-difference Jacobian behind every
 numerical derivative in the package: the gradient oracle for analytic
 gradients, the lift and flow Jacobians the certificates test, and the
-solver's Jacobian.
+solver's Jacobian.  ``fd_jacobian`` and ``flow_jacobian`` share one probe
+stack (rows 2i and 2i+1 are x + h_i e_i and x - h_i e_i) and one
+difference quotient; ``fd_jacobian`` calls f once per row, and
+``flow_jacobian`` integrates the whole stack in one RK4 loop.
 """
 
 from dataclasses import dataclass
@@ -115,9 +121,11 @@ class ScalarField:
     """A smooth function on phase space together with its gradient.
 
     ``value(q, p)`` maps the bare coordinate arrays to a float; ``grad(q, p)``
-    returns the pair (dF/dq, dF/dp).  Use :meth:`from_value` when no analytic
-    gradient is available; the finite-difference fallback satisfies the
-    same contract at reduced accuracy.
+    returns the pair (dF/dq, dF/dp).  ``grad`` broadcasts over leading axes:
+    given (..., n) stacks it returns two (..., n) stacks, and each row equals
+    the gradient at that row alone, bit for bit.  Use :meth:`from_value`
+    when no analytic gradient is available; the finite-difference fallback
+    satisfies the same contract at reduced accuracy.
     """
 
     value: Callable[[np.ndarray, np.ndarray], float]
@@ -130,7 +138,28 @@ class ScalarField:
             g = fd_gradient(lambda w: value(w[:n], w[n:]), np.concatenate((q, p)))
             return g[:n], g[n:]
 
-        return cls(value=value, grad=fd_grad)
+        return cls(value=value, grad=lambda q, p: _map_rows(fd_grad, q, p))
+
+
+def _map_rows(f: Callable, *stacks):
+    """Apply f, written for one state, to each row of (..., n) stacks.
+
+    A 1-d input is one plain call of f.  Otherwise f runs once per row and
+    its results are stacked on the same leading axes; a tuple result is
+    stacked component by component.
+    """
+    if np.ndim(stacks[0]) == 1:
+        return f(*stacks)
+    lead = np.shape(stacks[0])[:-1]
+    rows = [f(*(s[i] for s in stacks)) for i in np.ndindex(lead)]
+
+    def stack(values):
+        values = np.array(values, dtype=float)
+        return values.reshape(lead + values.shape[1:])
+
+    if isinstance(rows[0], tuple):
+        return tuple(stack(part) for part in zip(*rows))
+    return stack(rows)
 
 
 def omega_matrix(n: int) -> np.ndarray:
@@ -170,29 +199,48 @@ def _representable_step(x_i: float) -> float:
     return (x_i + h) - x_i
 
 
+def _fd_probes(x) -> tuple[np.ndarray, np.ndarray]:
+    """The (2n, n) probe stack of x and its steps h (n,).
+
+    Rows 2i and 2i+1 are x + h_i e_i and x - h_i e_i, with the step
+    h_i = cbrt(eps) * max(1, |x_i|) rounded to a step exactly
+    representable around x_i.
+    """
+    x = np.asarray(x, dtype=float)
+    h = np.array([_representable_step(x_i) for x_i in x])
+    probes = np.repeat(x[None, :], 2 * len(x), axis=0)
+    i = np.arange(len(x))
+    probes[2 * i, i] += h
+    probes[2 * i + 1, i] -= h
+    return probes, h
+
+
+def _fd_quotients(values, h: np.ndarray) -> np.ndarray:
+    """Jacobian (m, n) from f at the probe stack, values (2n, m).
+
+    Column i is (f(x + h_i e_i) - f(x - h_i e_i)) / (2 h_i).  Raises
+    NonFiniteValue if f is not finite at any probe.
+    """
+    values = np.asarray(values, dtype=float)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise NonFiniteValue(f"f non-finite near coordinate {np.argmin(finite) // 2}")
+    return np.ascontiguousarray(((values[0::2] - values[1::2]) / (2.0 * h[:, None])).T)
+
+
 def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
     """Central-difference Jacobian of f at x, shape (len(f(x)), len(x)).
 
     Deterministic step per coordinate: h_i = cbrt(eps) * max(1, |x_i|),
-    rounded to a step exactly representable around x_i.  Each probe is a
-    fresh copy of x, so f may return a view of its argument.  A scalar f
-    gives a one-row Jacobian.  Raises NonFiniteValue if f is not finite at
-    any probe.
+    rounded to a step exactly representable around x_i.  f is called at
+    x + h_i e_i, then at x - h_i e_i, for i in order; each probe is its own
+    row of a fresh stack, so f may return a view of its argument.  A scalar f gives a
+    one-row Jacobian.  Raises NonFiniteValue if f is not finite at any
+    probe.
     """
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(len(x)):
-        h = _representable_step(x[i])
-        plus = x.copy()
-        minus = x.copy()
-        plus[i] += h
-        minus[i] -= h
-        f_plus = np.atleast_1d(np.asarray(f(plus), dtype=float))
-        f_minus = np.atleast_1d(np.asarray(f(minus), dtype=float))
-        if not (np.isfinite(f_plus).all() and np.isfinite(f_minus).all()):
-            raise NonFiniteValue(f"f non-finite near coordinate {i}")
-        cols.append((f_plus - f_minus) / (2.0 * h))
-    return np.column_stack(cols)
+    probes, h = _fd_probes(x)
+    return _fd_quotients([np.atleast_1d(np.asarray(f(w), dtype=float))
+                          for w in probes], h)
 
 
 def fd_gradient(f: Callable[[np.ndarray], float], x) -> np.ndarray:

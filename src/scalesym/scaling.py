@@ -31,6 +31,7 @@ from .phase import (
     PhasePoint,
     ScalarField,
     TangentVector,
+    _map_rows,
     conformal_vector_field,
     fd_jacobian,
     omega_matrix,
@@ -185,6 +186,11 @@ def momentum_field(action: ScalingAction, xi: float = 1.0) -> ScalarField:
         return xi * _momentum(action, q, p)
 
     def grad(q, p):
+        if action.is_dilation:  # D xi_Q = xi diag(w), so (D xi_Q)^T p = xi w p
+            return xi * action.weights * p, generator_config(action, xi, q)
+        return _map_rows(one_grad, q, p)
+
+    def one_grad(q, p):  # a custom action's xi_q and dxi_q take one state
         djac = generator_config_jacobian(action, xi, q)
         return djac.T @ p, generator_config(action, xi, q)
 
@@ -222,7 +228,7 @@ class SymmetryReport:
 
     @property
     def max_residual(self) -> float:
-        return max(c.max_residual for c in self.checks)
+        return _worst(*(c.max_residual for c in self.checks))
 
     def check(self, name: str) -> CheckResult:
         for c in self.checks:
@@ -254,6 +260,11 @@ def _rel(err: float, *scales: float) -> float:
     return err / max(1.0, *(abs(s) for s in scales))
 
 
+def _worst(*residuals: float) -> float:
+    """The largest residual; NaN if any is NaN (Python's max would drop it)."""
+    return float(np.max(residuals))
+
+
 def phase_jacobian_fd(action: ScalingAction, g: float, z: PhasePoint) -> np.ndarray:
     """Finite-difference Jacobian of act_phase(g, .) at z (2n x 2n)."""
     n = z.n
@@ -275,7 +286,8 @@ def verify_scaling_symmetry(action: ScalingAction, H: ScalarField,
     4. scaling-function:    dJ . X_J^c = c J
     5. momentum-invariance: J(Phi_g z) = g^c J(z)
 
-    Failures are reported, not raised.
+    Failures are reported, not raised.  A NaN or infinite residual fails
+    its check and is reported as is.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -294,21 +306,21 @@ def verify_scaling_symmetry(action: ScalingAction, H: ScalarField,
         jac = phase_jacobian_fd(action, g, z)
         lhs = jac.T @ omega @ jac
         scale = g ** action.c
-        residuals["conformality"] = max(
+        residuals["conformality"] = _worst(
             residuals["conformality"],
             _rel(float(np.max(np.abs(lhs - scale * omega))), scale))
 
         h0 = H.value(z.q, z.p)
         z_g = act_phase(action, g, z)
         h1 = H.value(z_g.q, z_g.p)
-        residuals["invariance"] = max(
+        residuals["invariance"] = _worst(
             residuals["invariance"],
             _rel(abs(h1 - g ** action.b * h0), h1, g ** action.b * h0))
 
         field = momentum_field(action, xi)
         xv = conformal_vector_field(field, xi * action.c, z).flat()
         gen = generator_phase(action, xi, z).flat()
-        residuals["momentum-map"] = max(
+        residuals["momentum-map"] = _worst(
             residuals["momentum-map"],
             _rel(float(np.max(np.abs(xv - gen))), float(np.max(np.abs(gen)))))
 
@@ -316,12 +328,12 @@ def verify_scaling_symmetry(action: ScalingAction, H: ScalarField,
         xj = conformal_vector_field(J_field, action.c, z)
         gq, gp = J_field.grad(z.q, z.p)
         directional = float(gq @ xj.dq + gp @ xj.dp)
-        residuals["scaling-function"] = max(
+        residuals["scaling-function"] = _worst(
             residuals["scaling-function"],
             _rel(abs(directional - action.c * j0), j0))
 
         j1 = momentum_map(action, z_g)
-        residuals["momentum-invariance"] = max(
+        residuals["momentum-invariance"] = _worst(
             residuals["momentum-invariance"],
             _rel(abs(j1 - g ** action.c * j0), j1, j0))
 

@@ -19,7 +19,7 @@ import numpy as np
 from .equilibria import SimpleMechanicalSystem, central_config_residual, \
     xi_squared_from_config
 from .errors import CollisionDetected, SchemaError
-from .phase import PhasePoint, ScalarField
+from .phase import PhasePoint, ScalarField, _map_rows
 from .scaling import ScalingAction, config_jacobian, lift_exponent, \
     verify_scaling_symmetry
 
@@ -81,33 +81,45 @@ class BuiltSystem:
 
 
 def _separations(spec: NBodySpec, q):
-    """Pairwise differences q_i - q_j, shape (N, N, d), and their norms (N, N)."""
-    pos = np.asarray(q, dtype=float).reshape(spec.bodies, spec.dim)
-    diff = pos[:, None, :] - pos[None, :, :]
-    return diff, np.sqrt((diff ** 2).sum(axis=2))
+    """Pairwise differences q_i - q_j, shape (..., N, N, d), and their norms
+    (..., N, N), for one configuration or a (..., n) stack of them."""
+    q = np.asarray(q, dtype=float)
+    pos = q.reshape(q.shape[:-1] + (spec.bodies, spec.dim))
+    diff = pos[..., :, None, :] - pos[..., None, :, :]
+    return diff, np.sqrt((diff ** 2).sum(axis=-1))
 
 
-def min_pairwise_distance(spec: NBodySpec, q) -> float:
-    return float(_separations(spec, q)[1][spec.pairs].min())
+def min_pairwise_distance(spec: NBodySpec, q):
+    """Smallest separation of q, a float; an array of per-row minima for a
+    (..., n) stack."""
+    i, j = spec.pairs
+    closest = _separations(spec, q)[1][..., i, j].min(axis=-1)
+    return float(closest) if closest.ndim == 0 else closest
 
 
 def nbody_potential_and_gradient(spec: NBodySpec, q, *,
                                  collision_threshold: float = 1e-6):
     """U(q) = -sum_{i<j} m_i m_j / |q_i - q_j| and its analytic gradient.
 
-    The package's one collision check: raises CollisionDetected when a
-    pairwise separation is at or under ``collision_threshold``.
+    q may be one configuration (a float and an (n,) gradient come back) or
+    a (..., n) stack (then a (...) array and a (..., n) stack).  The
+    package's one collision check: raises CollisionDetected when a pairwise
+    separation in any row is at or under ``collision_threshold``.
     """
     diff, dist = _separations(spec, q)
-    iu, mm = spec.pairs, spec.mass_products
-    if dist[iu].min() <= collision_threshold:
+    i, j = spec.pairs
+    mm = spec.mass_products
+    pair_dist = np.ascontiguousarray(dist[..., i, j])  # rows sum as one row does
+    if pair_dist.min() <= collision_threshold:
         raise CollisionDetected(
-            f"pairwise separation {dist[iu].min():.3e} under threshold "
+            f"pairwise separation {pair_dist.min():.3e} under threshold "
             f"{collision_threshold:.3e}")
-    value = -float((mm[iu] / dist[iu]).sum())
-    np.fill_diagonal(dist, 1.0)  # diagonal of diff is zero, so grad[i, i] = 0
-    grad = (mm / dist ** 3)[:, :, None] * diff
-    return value, grad.sum(axis=1).ravel()
+    value = -(mm[i, j] / pair_dist).sum(axis=-1)
+    diagonal = np.arange(spec.bodies)
+    dist[..., diagonal, diagonal] = 1.0  # diagonal of diff is zero, so grad[i, i] = 0
+    grad = (mm / dist ** 3)[..., None] * diff
+    grad = grad.sum(axis=-2).reshape(np.shape(q))
+    return (float(value) if value.ndim == 0 else value), grad
 
 
 def nbody_mass_matrix(spec: NBodySpec) -> np.ndarray:
@@ -137,9 +149,10 @@ def anisotropic_kepler_system(mu: float) -> SimpleMechanicalSystem:
     def potential(q):
         return -1.0 / math.sqrt(float(weights @ (np.asarray(q) ** 2)))
 
-    def gradient(q):
+    def gradient(q):  # a scalar Python pow per row keeps the bits of one row
         q = np.asarray(q, dtype=float)
-        return weights * q * float(weights @ q ** 2) ** -1.5
+        scale = _map_rows(lambda row: float(weights @ row ** 2) ** -1.5, q)
+        return weights * q * np.expand_dims(scale, -1)
 
     return SimpleMechanicalSystem(
         mass_matrix=np.eye(2), potential=potential,
@@ -149,7 +162,12 @@ def anisotropic_kepler_system(mu: float) -> SimpleMechanicalSystem:
 def homogeneous_system(potential, gradient, n: int, alpha: float, *,
                        mass_matrix=None, seed: int = 0,
                        name: str = "homogeneous") -> SimpleMechanicalSystem:
-    """Wrap a homogeneous potential, checking U(g q) = g^alpha U(q) at probes."""
+    """Wrap a homogeneous potential, checking U(g q) = g^alpha U(q) at probes.
+
+    ``gradient`` must take (..., n) stacks row by row, as a field's
+    ``grad`` does; ``make_system`` maps a gradient supplied through its
+    Python API over the rows itself.
+    """
     rng = np.random.default_rng(seed)
     for _ in range(8):
         q = rng.uniform(0.3, 1.2, size=n) * rng.choice([-1.0, 1.0], size=n)
@@ -175,9 +193,11 @@ def power_law_system(n: int, alpha: float, k: float = -1.0,
         q = np.asarray(q, dtype=float)
         return k * float(q @ q) ** (alpha / 2.0)
 
-    def gradient(q):
+    def gradient(q):  # a scalar Python pow per row keeps the bits of one row
         q = np.asarray(q, dtype=float)
-        return k * alpha * float(q @ q) ** (alpha / 2.0 - 1.0) * q
+        scale = _map_rows(
+            lambda row: k * alpha * float(row @ row) ** (alpha / 2.0 - 1.0), q)
+        return np.expand_dims(scale, -1) * q
 
     kwargs.setdefault("name", f"power-law({alpha})")
     return homogeneous_system(potential, gradient, n, alpha, **kwargs)
@@ -300,8 +320,9 @@ def make_system(spec_json: dict, *, samples: int = 32, seed: int = 0,
                 raise SchemaError(f"homogeneous spec needs '{key}'")
         alpha = float(spec_json["alpha"])
         if "potential" in spec_json:  # Python API path: callables supplied directly
+            gradient = spec_json["gradient"]  # written for one configuration
             system = homogeneous_system(
-                spec_json["potential"], spec_json["gradient"],
+                spec_json["potential"], lambda q: _map_rows(gradient, q),
                 int(spec_json["n"]), alpha,
                 mass_matrix=spec_json.get("mass_matrix"))
         else:

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scalesym import cli, certify_relative_equilibrium, euler_collinear_oracle, \
-    integrate, lagrange_triangle
+from scalesym import FD_STEP, cli, certify_relative_equilibrium, \
+    euler_collinear_oracle, integrate, lagrange_triangle, make_system
 from scalesym.cli import main, read_trajectory_csv, write_trajectory_csv
 from scalesym.systems import damped_oscillator
 from scalesym.phase import PhasePoint
@@ -143,6 +143,27 @@ def test_verify_damped_oscillator_flow(workdir):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["checks"][0]["report"]["volume_defect"] <= 1e-5
+
+
+def test_verify_collision_in_a_flow_probe_exits_4(workdir, capsys):
+    # The threshold sits half a probe step under the start's separation: the
+    # expanding start itself stays clear (noether integrates it over the
+    # same window), but a flow-Jacobian probe that moves one body towards
+    # the other starts inside it.
+    spec = {"type": "nbody", "masses": [1.0, 1.0], "dim": 1}
+    z0 = cli._expanding_state(make_system(spec, samples=1), 0)
+    threshold = abs(z0.q[0] - z0.q[1]) - FD_STEP / 2
+    path = workdir / "near-collision.json"
+    path.write_text(json.dumps(dict(spec, collision_threshold=threshold)))
+
+    def verify(checks):
+        return main(["verify", "--system", str(path), "--checks", checks,
+                     "--samples", "1", "--t-final", "0.01",
+                     "--out", str(workdir / "near-collision-report.json")])
+
+    assert verify("noether") == 0
+    assert verify("flow") == 4
+    assert "pairwise separation" in capsys.readouterr().err
 
 
 def test_missing_file_is_io_error(workdir):

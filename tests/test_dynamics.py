@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from scalesym import (
+    FD_STEP,
     BlowupWindow,
+    CollisionDetected,
     NBodySpec,
     NonFiniteValue,
     PhasePoint,
     ScalarField,
     ScalingAction,
     UncertifiedInput,
+    anisotropic_kepler_system,
     certify_relative_equilibrium,
     damped_oscillator,
     fd_jacobian,
@@ -33,7 +36,7 @@ from conftest import kepler_action
 
 
 FREE = ScalarField(value=lambda q, p: 0.5 * float(p @ p),
-                   grad=lambda q, p: (np.zeros(len(q)), p.copy()))
+                   grad=lambda q, p: (np.zeros_like(q), p.copy()))
 
 GAMMA = 0.05
 OMEGA = math.sqrt(1.0 - GAMMA ** 2)
@@ -275,11 +278,27 @@ def _flow_case(name):
     if name == "nbody3":
         _, system, _, z0 = _expanding_triangle()
         return system.hamiltonian_field(), 0.0, z0
+    if name == "kepler":
+        system = anisotropic_kepler_system(2.0)
+        return system.hamiltonian_field(), 0.0, PhasePoint([0.8, -0.3], [0.1, 0.9])
+    if name == "nbody10-3d":
+        spec = NBodySpec(tuple(np.linspace(0.5, 2.0, 10)), dim=3)
+        rng = np.random.default_rng(7)
+        lattice = np.stack(np.unravel_index(np.arange(10), (3, 2, 2)), axis=1)
+        q = (lattice + rng.uniform(-0.2, 0.2, (10, 3))).ravel()
+        return (nbody_system(spec).hamiltonian_field(), 0.0,
+                PhasePoint(q, rng.uniform(-0.5, 0.5, 30)))
+    if name == "power-law-full-mass":
+        M = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
+        system = power_law_system(3, -1.0, mass_matrix=M)
+        return (system.hamiltonian_field(), 0.0,
+                PhasePoint([0.8, -0.3, 0.5], [0.1, 0.9, -0.2]))
     system = damped_oscillator(0.1)
     return system.field, system.c, PhasePoint.from_flat(system.z0)
 
 
-@pytest.mark.parametrize("name", ["nbody3", "damped"])
+@pytest.mark.parametrize("name", ["nbody3", "damped", "kepler", "nbody10-3d",
+                                  "power-law-full-mass"])
 def test_flow_jacobian_is_fd_of_integrate(name):
     # The probes skip the diagnostics, but their final states are integrate's.
     F, c, z0 = _flow_case(name)
@@ -320,3 +339,45 @@ def test_integrate_overflowing_gradient_raises():
                         grad=lambda q, p: (np.exp(800.0 * q), p.copy()))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteValue):
         integrate(field, 0.0, PhasePoint([1.0], [0.0]), 0.1, 1e-2)
+
+
+def test_flow_jacobian_overflowing_gradient_raises():
+    field = ScalarField(value=lambda q, p: 0.0,
+                        grad=lambda q, p: (np.exp(800.0 * q), p.copy()))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteValue):
+        flow_jacobian(field, 0.0, PhasePoint([1.0], [0.0]), 0.1, 1e-2)
+
+
+def test_flow_jacobian_collision_in_one_probe_row_raises():
+    # Bodies at -3 and -2 flying apart.  The probe steps are 3 and 2
+    # FD_STEP (about), and the threshold sits between the two shortened
+    # separations, so only the row q_0 + h_0 starts inside it.
+    system = nbody_system(NBodySpec((1.0, 1.0), dim=1),
+                          collision_threshold=1.0 - 2.5 * FD_STEP)
+    z0 = PhasePoint([-3.0, -2.0], [-0.5, 0.5])
+    integrate(system.hamiltonian_field(), 0.0, z0, 0.1, 1e-2)
+    with pytest.raises(CollisionDetected):
+        flow_jacobian(system.hamiltonian_field(), 0.0, z0, 0.1, 1e-2)
+
+
+def _counting(field: ScalarField):
+    calls = []
+
+    def grad(q, p):
+        calls.append(np.shape(q))
+        return field.grad(q, p)
+
+    return ScalarField(value=field.value, grad=grad), calls
+
+
+def test_gradient_calls_per_stack():
+    # flow_jacobian: 4 stages per step on the whole (4n, 2n) probe stack;
+    # integrate: the same plus the final node, which its diagnostics read.
+    F, c, z0 = _flow_case("nbody3")
+    m = 10
+    counted, calls = _counting(F)
+    flow_jacobian(counted, c, z0, m * 1e-2, 1e-2)
+    assert calls == [(4 * z0.n, z0.n)] * (4 * m)
+    calls.clear()
+    integrate(counted, c, z0, m * 1e-2, 1e-2)
+    assert calls == [(z0.n,)] * (4 * m + 1)

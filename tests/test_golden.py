@@ -1,11 +1,14 @@
-"""Golden artifacts: four CLI outputs on a planar 3-body system, byte for byte.
+"""Golden artifacts: CLI outputs, byte for byte.
 
-Identical (config, seed) pairs must keep producing byte-identical
-artifacts across refactors.  The digests below were recorded from the
-build before the field contract moved from PhasePoint arguments to
-(q, p) arrays; a change that alters any artifact must say so and
-re-record them.  Paths are relative to the working directory because the
-artifacts embed them.
+Four runs on a planar 3-body system, plus ``verify`` on the anisotropic
+Kepler problem and on the damped oscillator, whose flow checks go through
+single-body and conformal (c != 0) fields.  Identical (config, seed) pairs
+must keep producing byte-identical artifacts across refactors.  The first
+four digests were recorded from the build before the field contract moved
+from PhasePoint arguments to (q, p) arrays, the last two from the build
+before flow_jacobian integrated its probes as one stack; a change that
+alters any artifact must say so and re-record them.  Paths are relative
+to the working directory because the artifacts embed them.
 """
 
 import hashlib
@@ -15,7 +18,11 @@ import pytest
 
 from scalesym.cli import main
 
-SPEC = {"type": "nbody", "masses": [1.0, 1.0, 2.0], "dim": 2}
+SPECS = {
+    "spec.json": {"type": "nbody", "masses": [1.0, 1.0, 2.0], "dim": 2},
+    "kepler.json": {"type": "anisotropic-kepler", "mu": 2.0},
+    "oscillator.json": {"type": "damped-oscillator", "b": 0.3},
+}
 # A Lagrange triangle for masses (1, 1, 2), perturbed by a few percent.
 INIT_Q = "-0.52,-0.21,0.47,-0.23,0.02,0.22"
 # A start near the triangle with a small rotating momentum.
@@ -27,6 +34,8 @@ GOLDEN = {
     "integrate": "0363046bdb18cf742911bbb97d71f9a0e955821f30ce0c82394887d6d215d3b7",
     "verify": "03ca183a3a527bafd63603daf6508349ba55e8893a3c3fbba9166dcedbc79cf2",
     "homothetic": "df357344bb2df0c4f59c17bd5008c241d2a1df3bf155858db62124bc97737e40",
+    "verify-kepler": "8882b9ef6b8dac91cdb490d88de80fce94cb39f6b57bbb1864ebd0ee43bac378",
+    "verify-oscillator": "7ad4b7b0efd854f204adf114d057c0f3e342170b72fee0f12c5e611f634870f8",
 }
 
 RUNS = {
@@ -38,12 +47,17 @@ RUNS = {
                "--out", "verify.json"],
     "homothetic": ["homothetic", "--re", "re.json", "--t-final", "0.1",
                    "--out", "homothetic.json"],
+    "verify-kepler": ["verify", "--system", "kepler.json", "--t-final", "0.05",
+                      "--out", "verify-kepler.json"],
+    "verify-oscillator": ["verify", "--system", "oscillator.json",
+                          "--t-final", "0.2", "--out", "verify-oscillator.json"],
 }
 
 
 def artifact_digests(workdir) -> dict:
-    """Run the four commands in workdir and return each artifact's SHA-256."""
-    (workdir / "spec.json").write_text(json.dumps(SPEC))
+    """Run the commands in workdir and return each artifact's SHA-256."""
+    for name, spec in SPECS.items():
+        (workdir / name).write_text(json.dumps(spec))
     (workdir / "q0.csv").write_text(INIT_Q + "\n")
     (workdir / "z0.csv").write_text(INIT_Z + "\n")
     digests = {}

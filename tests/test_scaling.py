@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -302,3 +304,21 @@ def test_phase_jacobian_fd_phase_points_do_not_grow_with_n(phase_point_count):
         action, z = kepler_action(n), random_phase_point(rng, n)
         counts.append(phase_point_count(lambda: phase_jacobian_fd(action, 1.3, z)))
     assert counts[0] == counts[1]
+
+
+def test_verifier_fails_a_nan_residual():
+    # 3(|p|^2 + |q|^2)/2 is conformally invariant under the b = c = 2
+    # dilation, but this copy is NaN wherever a lifted |q_i| exceeds 1.5;
+    # probes sit in [-1.25, 1.25], so only lifted points reach the NaN.
+    def value(q, p):
+        if np.any(np.abs(q) > 1.5):
+            return float("nan")
+        return 1.5 * float(p @ p + q @ q)
+
+    H = ScalarField(value=value, grad=lambda q, p: (3.0 * q, 3.0 * p))
+    report = verify_scaling_symmetry(ScalingAction.uniform_dilation(2, 2.0, 2.0),
+                                     H, samples=32, seed=0)
+    assert not report.passed
+    assert not report.check("invariance").passed
+    assert math.isnan(report.check("invariance").max_residual)
+    assert math.isnan(report.max_residual)
