@@ -115,12 +115,19 @@ def _rk4(F: ScalarField, c: float, y: np.ndarray, m: int, dt: float,
     """m RK4 steps of dt from the flat state y = (q, p), or from a (B, 2n)
     stack of them, returning the last one.  Each node is checked for
     finiteness, then seen by node(k, y, X(y)); without a node callback the
-    field is not evaluated at the final node, which no step needs."""
+    field is not evaluated at the final node, which no step needs.  F.grad
+    must return arrays shaped like its arguments; a field written for one
+    state that drops the stack axis raises DimensionMismatch."""
     n = y.shape[-1] // 2
 
     def X(y: np.ndarray) -> np.ndarray:
-        gq, gp = F.grad(y[..., :n], y[..., n:])
-        return np.concatenate((gp, -np.asarray(gq, float) + c * y[..., n:]), axis=-1)
+        q, p = y[..., :n], y[..., n:]
+        gq, gp = (np.asarray(g, float) for g in F.grad(q, p))
+        if gq.shape != q.shape or gp.shape != p.shape:
+            raise DimensionMismatch(
+                f"grad returned shapes {gq.shape}, {gp.shape} for states of "
+                f"shape {q.shape}")
+        return np.concatenate((gp, -gq + c * p), axis=-1)
 
     for k in range(m + 1):
         if k:
@@ -174,8 +181,10 @@ def flow_jacobian(F: ScalarField, c: float, z0: PhasePoint, t: float,
     """Central-difference Jacobian of the time-t flow map at z0 (2n x 2n).
 
     The 4n probes of z0 advance as one (4n, 2n) stack, so F.grad is called
-    4m times for m steps, each time on the whole stack.  A collision or a
-    non-finite state in any probe aborts the whole Jacobian.
+    4m times for m steps, each time on the whole stack.  A non-finite state
+    in any probe aborts the whole Jacobian, and so does a collision at any
+    RK4 stage.  F is not evaluated at the probes' final states, so a probe
+    that first comes inside the collision threshold there is not caught.
     """
     m = _step_count(t, dt)
     probes, h = _fd_probes(z0.flat())

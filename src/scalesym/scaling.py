@@ -185,12 +185,10 @@ def momentum_field(action: ScalingAction, xi: float = 1.0) -> ScalarField:
     def value(q, p) -> float:
         return xi * _momentum(action, q, p)
 
-    def grad(q, p):
-        if action.is_dilation:  # D xi_Q = xi diag(w), so (D xi_Q)^T p = xi w p
-            return xi * action.weights * p, generator_config(action, xi, q)
+    def grad(q, p):  # an action's xi_q and dxi_q take one state
         return _map_rows(one_grad, q, p)
 
-    def one_grad(q, p):  # a custom action's xi_q and dxi_q take one state
+    def one_grad(q, p):
         djac = generator_config_jacobian(action, xi, q)
         return djac.T @ p, generator_config(action, xi, q)
 

@@ -89,12 +89,8 @@ def _separations(spec: NBodySpec, q):
     return diff, np.sqrt((diff ** 2).sum(axis=-1))
 
 
-def min_pairwise_distance(spec: NBodySpec, q):
-    """Smallest separation of q, a float; an array of per-row minima for a
-    (..., n) stack."""
-    i, j = spec.pairs
-    closest = _separations(spec, q)[1][..., i, j].min(axis=-1)
-    return float(closest) if closest.ndim == 0 else closest
+def min_pairwise_distance(spec: NBodySpec, q) -> float:
+    return float(_separations(spec, q)[1][spec.pairs].min())
 
 
 def nbody_potential_and_gradient(spec: NBodySpec, q, *,
@@ -164,9 +160,8 @@ def homogeneous_system(potential, gradient, n: int, alpha: float, *,
                        name: str = "homogeneous") -> SimpleMechanicalSystem:
     """Wrap a homogeneous potential, checking U(g q) = g^alpha U(q) at probes.
 
-    ``gradient`` must take (..., n) stacks row by row, as a field's
-    ``grad`` does; ``make_system`` maps a gradient supplied through its
-    Python API over the rows itself.
+    ``potential`` and ``gradient`` take one configuration; the system maps
+    ``gradient`` over the rows of a (..., n) stack.
     """
     rng = np.random.default_rng(seed)
     for _ in range(8):
@@ -178,9 +173,10 @@ def homogeneous_system(potential, gradient, n: int, alpha: float, *,
                 f"potential is not homogeneous of degree {alpha}: "
                 f"U(gq)={u1:.6e} vs g^a U={g ** alpha * u0:.6e}")
     M = np.eye(n) if mass_matrix is None else np.asarray(mass_matrix, float)
-    return SimpleMechanicalSystem(mass_matrix=M, potential=potential,
-                                  potential_gradient=gradient, alpha=alpha,
-                                  name=name)
+    return SimpleMechanicalSystem(
+        mass_matrix=M, potential=potential,
+        potential_gradient=lambda q: _map_rows(gradient, q), alpha=alpha,
+        name=name)
 
 
 def power_law_system(n: int, alpha: float, k: float = -1.0,
@@ -193,11 +189,9 @@ def power_law_system(n: int, alpha: float, k: float = -1.0,
         q = np.asarray(q, dtype=float)
         return k * float(q @ q) ** (alpha / 2.0)
 
-    def gradient(q):  # a scalar Python pow per row keeps the bits of one row
+    def gradient(q):
         q = np.asarray(q, dtype=float)
-        scale = _map_rows(
-            lambda row: k * alpha * float(row @ row) ** (alpha / 2.0 - 1.0), q)
-        return np.expand_dims(scale, -1) * q
+        return k * alpha * float(q @ q) ** (alpha / 2.0 - 1.0) * q
 
     kwargs.setdefault("name", f"power-law({alpha})")
     return homogeneous_system(potential, gradient, n, alpha, **kwargs)
@@ -320,9 +314,8 @@ def make_system(spec_json: dict, *, samples: int = 32, seed: int = 0,
                 raise SchemaError(f"homogeneous spec needs '{key}'")
         alpha = float(spec_json["alpha"])
         if "potential" in spec_json:  # Python API path: callables supplied directly
-            gradient = spec_json["gradient"]  # written for one configuration
             system = homogeneous_system(
-                spec_json["potential"], lambda q: _map_rows(gradient, q),
+                spec_json["potential"], spec_json["gradient"],
                 int(spec_json["n"]), alpha,
                 mass_matrix=spec_json.get("mass_matrix"))
         else:

@@ -8,6 +8,7 @@ from scalesym import (
     FD_STEP,
     BlowupWindow,
     CollisionDetected,
+    DimensionMismatch,
     NBodySpec,
     NonFiniteValue,
     PhasePoint,
@@ -346,6 +347,17 @@ def test_flow_jacobian_overflowing_gradient_raises():
                         grad=lambda q, p: (np.exp(800.0 * q), p.copy()))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteValue):
         flow_jacobian(field, 0.0, PhasePoint([1.0], [0.0]), 0.1, 1e-2)
+
+
+def test_flow_jacobian_rejects_a_gradient_that_drops_the_stack_axis():
+    # Written for one state: np.array([q[0]]) is (1,) for one state but
+    # (1, 1) for the (4, 1) probe stack, where it would broadcast silently.
+    field = ScalarField(value=lambda q, p: 0.5 * float(q @ q + p @ p),
+                        grad=lambda q, p: (np.array([q[0]]), p.copy()))
+    z0 = PhasePoint([1.0], [0.0])
+    integrate(field, 0.0, z0, 0.1, 1e-2)
+    with pytest.raises(DimensionMismatch):
+        flow_jacobian(field, 0.0, z0, 0.1, 1e-2)
 
 
 def test_flow_jacobian_collision_in_one_probe_row_raises():

@@ -15,6 +15,7 @@ from scalesym import (
     ScalingAction,
     anisotropic_kepler_system,
     damped_oscillator,
+    homogeneous_system,
     make_system,
     momentum_field,
     nbody_system,
@@ -90,6 +91,17 @@ def test_homogeneous_field_with_full_mass_matrix_stacks(data, n):
     assert built.system._mass_diagonal is None
     Q, P = data.draw(_stack(n, elements=_nonzero))
     assert_stack_matches_rows(built.system.hamiltonian_field(), Q, P)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(st.data(), st.integers(1, 4))
+def test_homogeneous_system_maps_a_single_state_gradient(data, n):
+    # the norm reduces over the whole argument, so this gradient is only
+    # right for one configuration; the system applies it row by row
+    system = homogeneous_system(lambda q: -1.0 / np.linalg.norm(q),
+                                lambda q: q / np.linalg.norm(q) ** 3, n, -1.0)
+    Q, P = data.draw(_stack(n, elements=_nonzero))
+    assert_stack_matches_rows(system.hamiltonian_field(), Q, P)
 
 
 @settings(derandomize=True, database=None, deadline=None)
