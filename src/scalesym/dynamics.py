@@ -14,9 +14,10 @@ and the energy-rate law dF/dt = c * theta(X_F^c) = c * p . dF/dp.
 
 ``integrate`` and ``flow_jacobian`` share one RK4 loop on flat states
 y = (q, p).  The loop is written on the last axis, so it advances a
-(B, 2n) stack of states as readily as one state: ``flow_jacobian`` builds
-the 4n central-difference probes of z0 as one stack and integrates them
-together, with one gradient call per RK4 stage for the whole stack.
+(B, 2n) stack of states as readily as one state: ``flow_jacobian`` is the
+package's one finite-difference core applied to that loop, so the 4n
+central-difference probes of z0 are integrated together, with one gradient
+call per RK4 stage for the whole stack.
 Fields compute each row as if it came alone (the ``ScalarField``
 contract), so the stacked flow equals the row-by-row one bit for bit.
 
@@ -34,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BlowupWindow, DimensionMismatch, NonFiniteValue, UncertifiedInput
-from .phase import PhasePoint, ScalarField, _fd_probes, _fd_quotients, omega_matrix
+from .phase import PhasePoint, ScalarField, _fd_stack_jacobian, omega_matrix
 from .scaling import ScalingAction, _lift, _momentum
 
 
@@ -187,8 +188,7 @@ def flow_jacobian(F: ScalarField, c: float, z0: PhasePoint, t: float,
     that first comes inside the collision threshold there is not caught.
     """
     m = _step_count(t, dt)
-    probes, h = _fd_probes(z0.flat())
-    return _fd_quotients(_rk4(F, c, probes, m, dt), h)
+    return _fd_stack_jacobian(lambda probes: _rk4(F, c, probes, m, dt), z0.flat())
 
 
 def verify_conformal_flow(F: ScalarField, c: float, z0: PhasePoint, t: float,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CollisionDetected, DimensionMismatch, NonFiniteValue, \
     SolverDidNotConverge, SymmetryVerificationFailed
-from .phase import PhasePoint, ScalarField, fd_jacobian
+from .phase import PhasePoint, ScalarField, _fd_stack_jacobian
 from .scaling import (
     ScalingAction,
     generator_config,
@@ -134,17 +134,23 @@ class RelativeEquilibrium:
 
 def locked_inertia(system: SimpleMechanicalSystem, action: ScalingAction,
                    q) -> float:
-    """Scalar locked inertia xi_Q(q)|_1 . M xi_Q(q)|_1 (q^T M q for uniform dilation)."""
+    """Scalar locked inertia xi_Q(q)|_1 . M xi_Q(q)|_1 (q^T M q for uniform dilation).
+
+    A (..., n) stack of configurations gives a (...) array, row for row
+    equal to the float of each row alone.
+    """
     s = generator_config(action, 1.0, q)
-    return float(s @ system.mass_matrix @ s)
+    inertia = (s[..., None, :] @ system.mass_matrix @ s[..., :, None])[..., 0, 0]
+    return float(inertia) if inertia.ndim == 0 else inertia
 
 
 def locked_inertia_gradient(system: SimpleMechanicalSystem,
                             action: ScalingAction, q) -> np.ndarray:
-    """Analytic gradient 2 (D xi_Q)^T M xi_Q of the locked inertia at xi = 1."""
+    """Analytic gradient 2 (D xi_Q)^T M xi_Q of the locked inertia at xi = 1,
+    row by row for a (..., n) stack."""
     s = generator_config(action, 1.0, q)
     ds = generator_config_jacobian(action, 1.0, q)
-    return 2.0 * ds.T @ (system.mass_matrix @ s)
+    return (2.0 * np.swapaxes(ds, -1, -2) @ (system.mass_matrix @ s[..., None]))[..., 0]
 
 
 def augmented_potential(system: SimpleMechanicalSystem, action: ScalingAction,
@@ -169,8 +175,21 @@ def augmented_hamiltonian(system: SimpleMechanicalSystem, action: ScalingAction,
 
 def momentum_from_config(system: SimpleMechanicalSystem, action: ScalingAction,
                          xi: float, q) -> np.ndarray:
-    """Legendre transform of the generator: p = M xi_Q(q)."""
-    return system.mass_matrix @ generator_config(action, xi, q)
+    """Legendre transform of the generator: p = M xi_Q(q).
+
+    Row by row for a (..., n) stack of configurations, with xi a float or a
+    (..., 1) column.
+    """
+    return (system.mass_matrix @ generator_config(action, xi, q)[..., None])[..., 0]
+
+
+def _squared(xi):
+    """xi ** 2 with one scalar pow per entry, shaped like xi.
+
+    numpy's array ** 2 is x * x, which differs from pow in the last bit for
+    some xi, so a stack squared that way would not match its rows.
+    """
+    return np.reshape([v ** 2 for v in np.ravel(xi).tolist()], np.shape(xi))
 
 
 def central_config_residual(system: SimpleMechanicalSystem,
@@ -178,11 +197,13 @@ def central_config_residual(system: SimpleMechanicalSystem,
     """grad U - (xi^2 / 2) grad I + c xi M xi_Q(q).
 
     For uniform dilation this reduces to grad U - (1 - c) xi^2 M q; its
-    zeros are the central configurations with multiplier xi.
+    zeros are the central configurations with multiplier xi.  q may be a
+    (..., n) stack and xi a float or a (..., 1) column; each row equals the
+    residual of that row alone, bit for bit.
     """
     grad_u = np.asarray(system.potential_gradient(q), dtype=float)
     return (grad_u
-            - 0.5 * xi ** 2 * locked_inertia_gradient(system, action, q)
+            - 0.5 * _squared(xi) * locked_inertia_gradient(system, action, q)
             + action.c * xi * momentum_from_config(system, action, xi, q))
 
 
@@ -232,12 +253,16 @@ def certify_relative_equilibrium(system: SimpleMechanicalSystem,
 
 
 def _solver_residual(system, action, q, xi, inertia_target, fix_xi):
+    """The solver's residual at q, or row by row at a (..., n) stack of
+    configurations, with xi a float or a (..., 1) column."""
+    lead = q.shape[:-1]
     rows = [central_config_residual(system, action, xi, q)]
     if system.translation_invariant:
-        rows.append(q.reshape(-1, system.dim).T @ system.masses)
+        rows.append(np.matmul(system.masses, q.reshape(lead + (-1, system.dim))))
     if fix_xi is None:
-        rows.append(np.array([locked_inertia(system, action, q) - inertia_target]))
-    return np.concatenate(rows)
+        inertia = locked_inertia(system, action, q) - inertia_target
+        rows.append(np.reshape(inertia, lead + (1,)))
+    return np.concatenate(rows, axis=-1)
 
 
 def solve_central_configuration(system: SimpleMechanicalSystem,
@@ -281,9 +306,9 @@ def solve_central_configuration(system: SimpleMechanicalSystem,
         if xi == 0.0:
             xi = 1.0
 
-    def residual(x):
+    def residual(x):  # one state x, or the Jacobian's stack of probes
         if fix_xi is None:
-            return _solver_residual(system, action, x[:-1], x[-1],
+            return _solver_residual(system, action, x[..., :-1], x[..., -1:],
                                     inertia_target, None)
         return _solver_residual(system, action, x, xi, inertia_target, fix_xi)
 
@@ -298,7 +323,7 @@ def solve_central_configuration(system: SimpleMechanicalSystem,
                 diagnostics={"residual": float(np.max(np.abs(r))),
                              "iterations": max_iter})
         iteration += 1
-        jac = fd_jacobian(residual, x)
+        jac = _fd_stack_jacobian(residual, x)
         accepted = False
         while not accepted:
             # Minimum-norm solution of the damped least-squares step.

@@ -29,10 +29,12 @@ per row, with every row computed as if it came alone.  That is what lets
 The module also provides the central-difference Jacobian behind every
 numerical derivative in the package: the gradient oracle for analytic
 gradients, the lift and flow Jacobians the certificates test, and the
-solver's Jacobian.  ``fd_jacobian`` and ``flow_jacobian`` share one probe
-stack (rows 2i and 2i+1 are x + h_i e_i and x - h_i e_i) and one
-difference quotient; ``fd_jacobian`` calls f once per row, and
-``flow_jacobian`` integrates the whole stack in one RK4 loop.
+solver's Jacobian.  One private core, ``_fd_stack_jacobian``, builds the
+probe stack (rows 2i and 2i+1 are x + h_i e_i and x - h_i e_i), calls f
+once on the whole stack and forms the difference quotients.  The solver's
+residual, the cotangent lift and ``flow_jacobian``'s RK4 loop take the
+stack as it is; the public ``fd_jacobian`` keeps its one-state contract by
+mapping f over the rows.
 """
 
 from dataclasses import dataclass
@@ -199,12 +201,15 @@ def _representable_step(x_i: float) -> float:
     return (x_i + h) - x_i
 
 
-def _fd_probes(x) -> tuple[np.ndarray, np.ndarray]:
-    """The (2n, n) probe stack of x and its steps h (n,).
+def _fd_stack_jacobian(F: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
+    """Central-difference Jacobian of F at x, with F called once on all probes.
 
-    Rows 2i and 2i+1 are x + h_i e_i and x - h_i e_i, with the step
-    h_i = cbrt(eps) * max(1, |x_i|) rounded to a step exactly
-    representable around x_i.
+    The probe stack has shape (2n, n): rows 2i and 2i+1 are x + h_i e_i and
+    x - h_i e_i, with h_i = cbrt(eps) * max(1, |x_i|) rounded to a step
+    exactly representable around x_i.  F maps the stack to its (2n, m)
+    values, row for row; column i of the result is
+    (F(x + h_i e_i) - F(x - h_i e_i)) / (2 h_i).  Raises NonFiniteValue if
+    F is not finite at any probe.
     """
     x = np.asarray(x, dtype=float)
     h = np.array([_representable_step(x_i) for x_i in x])
@@ -212,16 +217,7 @@ def _fd_probes(x) -> tuple[np.ndarray, np.ndarray]:
     i = np.arange(len(x))
     probes[2 * i, i] += h
     probes[2 * i + 1, i] -= h
-    return probes, h
-
-
-def _fd_quotients(values, h: np.ndarray) -> np.ndarray:
-    """Jacobian (m, n) from f at the probe stack, values (2n, m).
-
-    Column i is (f(x + h_i e_i) - f(x - h_i e_i)) / (2 h_i).  Raises
-    NonFiniteValue if f is not finite at any probe.
-    """
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(F(probes), dtype=float)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise NonFiniteValue(f"f non-finite near coordinate {np.argmin(finite) // 2}")
@@ -232,15 +228,15 @@ def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
     """Central-difference Jacobian of f at x, shape (len(f(x)), len(x)).
 
     Deterministic step per coordinate: h_i = cbrt(eps) * max(1, |x_i|),
-    rounded to a step exactly representable around x_i.  f is called at
-    x + h_i e_i, then at x - h_i e_i, for i in order; each probe is its own
-    row of a fresh stack, so f may return a view of its argument.  A scalar f gives a
-    one-row Jacobian.  Raises NonFiniteValue if f is not finite at any
-    probe.
+    rounded to a step exactly representable around x_i.  f takes one state:
+    it is called at x + h_i e_i, then at x - h_i e_i, for i in order, each
+    probe its own row of a fresh stack, so f may return a view of its
+    argument.  A scalar f gives a one-row Jacobian.  Raises NonFiniteValue
+    if f is not finite at any probe.
     """
-    probes, h = _fd_probes(x)
-    return _fd_quotients([np.atleast_1d(np.asarray(f(w), dtype=float))
-                          for w in probes], h)
+    return _fd_stack_jacobian(
+        lambda probes: _map_rows(lambda w: np.atleast_1d(np.asarray(f(w), dtype=float)),
+                                 probes), x)
 
 
 def fd_gradient(f: Callable[[np.ndarray], float], x) -> np.ndarray:
@@ -251,8 +247,8 @@ def fd_gradient(f: Callable[[np.ndarray], float], x) -> np.ndarray:
 def check_gradient(F: ScalarField, points) -> float:
     """Max relative error of F.grad against fd_gradient over the given points.
 
-    Returns the worst relative error; raises nothing, so callers decide
-    whether to treat a miss as fatal.
+    Returns the worst relative error, NaN if any error is NaN; raises
+    nothing, so callers decide whether to treat a miss as fatal.
     """
     worst = 0.0
     for z in points:
@@ -260,5 +256,10 @@ def check_gradient(F: ScalarField, points) -> float:
         analytic = np.concatenate((np.asarray(gq, float), np.asarray(gp, float)))
         numeric = fd_gradient(lambda w: F.value(w[:z.n], w[z.n:]), z.flat())
         scale = max(1.0, float(np.max(np.abs(numeric))))
-        worst = max(worst, float(np.max(np.abs(analytic - numeric))) / scale)
+        worst = _worst(worst, float(np.max(np.abs(analytic - numeric))) / scale)
     return worst
+
+
+def _worst(*residuals: float) -> float:
+    """The largest residual; NaN if any is NaN (Python's max would drop it)."""
+    return float(np.max(residuals))

@@ -31,7 +31,9 @@ from .phase import (
     PhasePoint,
     ScalarField,
     TangentVector,
+    _fd_stack_jacobian,
     _map_rows,
+    _worst,
     conformal_vector_field,
     fd_jacobian,
     omega_matrix,
@@ -126,15 +128,19 @@ def config_jacobian(action: ScalingAction, g: float, q) -> np.ndarray:
 
 
 def _lift(action: ScalingAction, g: float, q, p) -> tuple[np.ndarray, np.ndarray]:
-    """act_phase on bare coordinate arrays."""
+    """act_phase on bare coordinate arrays, or row by row on (..., n) stacks."""
     if g <= 0:
         raise ValueError(f"group element must be positive, got g={g}")
     if action.is_dilation:
         # (D Psi_g)^{-T} is diagonal: momenta pick up g^{c - w_i}.
         return g ** action.weights * q, g ** (action.c - action.weights) * p
-    jac = config_jacobian(action, g, q)
-    p_new = g ** action.c * np.linalg.solve(jac.T, p)
-    return act_config(action, g, q), p_new
+
+    def lift_one(q, p):  # a custom action's psi and dpsi take one state
+        jac = config_jacobian(action, g, q)
+        p_new = g ** action.c * np.linalg.solve(jac.T, p)
+        return act_config(action, g, q), p_new
+
+    return _map_rows(lift_one, q, p)
 
 
 def act_phase(action: ScalingAction, g: float, z: PhasePoint) -> PhasePoint:
@@ -143,19 +149,24 @@ def act_phase(action: ScalingAction, g: float, z: PhasePoint) -> PhasePoint:
 
 
 def generator_config(action: ScalingAction, xi: float, q) -> np.ndarray:
-    """Infinitesimal generator xi_Q(q) = d/dt|_0 Psi_{exp(t xi)}(q)."""
+    """Infinitesimal generator xi_Q(q) = d/dt|_0 Psi_{exp(t xi)}(q).
+
+    Row by row for a (..., n) stack of configurations, with xi a float or a
+    (..., 1) column.
+    """
     q = np.asarray(q, dtype=float)
     if action.is_dilation:
         return xi * action.weights * q
-    return xi * np.asarray(action.xi_q(q), dtype=float)
+    return xi * np.asarray(_map_rows(action.xi_q, q), dtype=float)
 
 
 def generator_config_jacobian(action: ScalingAction, xi: float, q) -> np.ndarray:
-    """D xi_Q(q) for the given xi."""
+    """D xi_Q(q) for the given xi; (..., n, n) for a (..., n) stack of
+    custom-action configurations (a dilation's is the same for every q)."""
     q = np.asarray(q, dtype=float)
     if action.is_dilation:
         return xi * np.diag(action.weights)
-    return xi * np.asarray(action.dxi_q(q), dtype=float)
+    return xi * np.asarray(_map_rows(action.dxi_q, q), dtype=float)
 
 
 def generator_phase(action: ScalingAction, xi: float, z: PhasePoint) -> TangentVector:
@@ -258,16 +269,13 @@ def _rel(err: float, *scales: float) -> float:
     return err / max(1.0, *(abs(s) for s in scales))
 
 
-def _worst(*residuals: float) -> float:
-    """The largest residual; NaN if any is NaN (Python's max would drop it)."""
-    return float(np.max(residuals))
-
-
 def phase_jacobian_fd(action: ScalingAction, g: float, z: PhasePoint) -> np.ndarray:
-    """Finite-difference Jacobian of act_phase(g, .) at z (2n x 2n)."""
+    """Finite-difference Jacobian of act_phase(g, .) at z (2n x 2n), with
+    all 4n probes lifted in one call."""
     n = z.n
-    return fd_jacobian(lambda w: np.concatenate(_lift(action, g, w[:n], w[n:])),
-                       z.flat())
+    return _fd_stack_jacobian(
+        lambda w: np.concatenate(_lift(action, g, w[..., :n], w[..., n:]), axis=-1),
+        z.flat())
 
 
 def verify_scaling_symmetry(action: ScalingAction, H: ScalarField,

@@ -2,13 +2,17 @@
 
 Four runs on a planar 3-body system, plus ``verify`` on the anisotropic
 Kepler problem and on the damped oscillator, whose flow checks go through
-single-body and conformal (c != 0) fields.  Identical (config, seed) pairs
-must keep producing byte-identical artifacts across refactors.  The first
-four digests were recorded from the build before the field contract moved
-from PhasePoint arguments to (q, p) arrays, the last two from the build
-before flow_jacobian integrated its probes as one stack; a change that
-alters any artifact must say so and re-record them.  Paths are relative
-to the working directory because the artifacts embed them.
+single-body and conformal (c != 0) fields, plus two ``solve-cc`` runs from
+random starts of 10 equal masses in 3-D: seed 1 certifies, seed 13 exits 2
+with "damping overflow", and its diagnostics are pinned too.  Identical
+(config, seed) pairs must keep producing byte-identical artifacts across
+refactors.  The first four digests were recorded from the build before the
+field contract moved from PhasePoint arguments to (q, p) arrays, the next
+two from the build before flow_jacobian integrated its probes as one
+stack, the last two from the build before the solver's Jacobian evaluated
+its probes as one stack; a change that alters any artifact must say so and
+re-record them.  Paths are relative to the working directory because the
+artifacts embed them.
 """
 
 import hashlib
@@ -22,6 +26,7 @@ SPECS = {
     "spec.json": {"type": "nbody", "masses": [1.0, 1.0, 2.0], "dim": 2},
     "kepler.json": {"type": "anisotropic-kepler", "mu": 2.0},
     "oscillator.json": {"type": "damped-oscillator", "b": 0.3},
+    "equal10.json": {"type": "nbody", "masses": [1.0] * 10, "dim": 3},
 }
 # A Lagrange triangle for masses (1, 1, 2), perturbed by a few percent.
 INIT_Q = "-0.52,-0.21,0.47,-0.23,0.02,0.22"
@@ -36,6 +41,8 @@ GOLDEN = {
     "homothetic": "df357344bb2df0c4f59c17bd5008c241d2a1df3bf155858db62124bc97737e40",
     "verify-kepler": "8882b9ef6b8dac91cdb490d88de80fce94cb39f6b57bbb1864ebd0ee43bac378",
     "verify-oscillator": "7ad4b7b0efd854f204adf114d057c0f3e342170b72fee0f12c5e611f634870f8",
+    "solve-cc-random-seed1": "58daf8359680c5a1d49e3f007a2daf19f3ed5f8553248f4c2e09bebc4901e3a5",
+    "solve-cc-random-seed13": "0c5df59b714a40f334bb7fdb9eea0d73eaa6757cc4d55cd70337c589d5171699",
 }
 
 RUNS = {
@@ -51,7 +58,13 @@ RUNS = {
                       "--out", "verify-kepler.json"],
     "verify-oscillator": ["verify", "--system", "oscillator.json",
                           "--t-final", "0.2", "--out", "verify-oscillator.json"],
+    "solve-cc-random-seed1": ["solve-cc", "--system", "equal10.json", "--seed", "1",
+                              "--out", "s1.json"],
+    "solve-cc-random-seed13": ["solve-cc", "--system", "equal10.json", "--seed", "13",
+                               "--out", "s13.json"],
 }
+# Every run exits 0 except this one, whose solver fails.
+EXIT_CODES = {"solve-cc-random-seed13": 2}
 
 
 def artifact_digests(workdir) -> dict:
@@ -62,7 +75,7 @@ def artifact_digests(workdir) -> dict:
     (workdir / "z0.csv").write_text(INIT_Z + "\n")
     digests = {}
     for name, argv in RUNS.items():
-        assert main(argv) == 0, name
+        assert main(argv) == EXIT_CODES.get(name, 0), name
         out = workdir / argv[argv.index("--out") + 1]
         digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
     return digests

@@ -213,6 +213,13 @@ def test_analytic_gradients_match_fd():
     assert check_gradient(system.hamiltonian_field(), points) < 1e-6
 
 
+def test_check_gradient_reports_a_nan_gradient():
+    # max(worst, nan) keeps worst, so a NaN dF/dq used to score 0.0
+    field = ScalarField(value=lambda q, p: 0.5 * float(q @ q + p @ p),
+                        grad=lambda q, p: (np.full_like(q, np.nan), p.copy()))
+    assert np.isnan(check_gradient(field, [PhasePoint([0.3, -0.2], [0.1, 0.4])]))
+
+
 def test_scalar_field_from_value():
     field = ScalarField.from_value(lambda q, p: float(q @ p))
     gq, gp = field.grad(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
