@@ -106,9 +106,10 @@ def nbody_potential_and_gradient(spec: NBodySpec, q, *,
     i, j = spec.pairs
     mm = spec.mass_products
     pair_dist = np.ascontiguousarray(dist[..., i, j])  # rows sum as one row does
-    if pair_dist.min() <= collision_threshold:
+    collided = pair_dist <= collision_threshold  # NaN in one row hides no other row
+    if collided.any():
         raise CollisionDetected(
-            f"pairwise separation {pair_dist.min():.3e} under threshold "
+            f"pairwise separation {pair_dist[collided].min():.3e} under threshold "
             f"{collision_threshold:.3e}")
     value = -(mm[i, j] / pair_dist).sum(axis=-1)
     diagonal = np.arange(spec.bodies)

@@ -21,6 +21,7 @@ from scalesym import (
     anisotropic_kepler_system,
     fd_jacobian,
     locked_inertia,
+    nbody_potential_and_gradient,
     nbody_system,
     phase_jacobian_fd,
     power_law_system,
@@ -215,6 +216,13 @@ def test_solver_jacobian_with_one_colliding_probe_raises():
         fd_jacobian(residual, x)
     with pytest.raises(CollisionDetected):
         solve_central_configuration(system, action, x[:-1], verify_symmetry=False)
+
+
+def test_nan_row_does_not_hide_a_colliding_row():
+    # np.min over the stack would be NaN, and NaN <= threshold is False
+    spec = NBodySpec((1.0, 1.0), dim=1)
+    with pytest.raises(CollisionDetected):
+        nbody_potential_and_gradient(spec, np.array([[0.0, 1e-7], [0.0, np.nan]]))
 
 
 def test_solver_jacobian_calls_the_residual_once_per_iteration(monkeypatch):
