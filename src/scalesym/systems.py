@@ -86,7 +86,8 @@ def _separations(spec: NBodySpec, q):
     q = np.asarray(q, dtype=float)
     pos = q.reshape(q.shape[:-1] + (spec.bodies, spec.dim))
     diff = pos[..., :, None, :] - pos[..., None, :, :]
-    return diff, np.sqrt((diff ** 2).sum(axis=-1))
+    dist = (diff ** 2).sum(axis=-1)
+    return diff, np.sqrt(dist, out=dist)
 
 
 def min_pairwise_distance(spec: NBodySpec, q) -> float:
@@ -114,8 +115,11 @@ def nbody_potential_and_gradient(spec: NBodySpec, q, *,
     value = -(mm[i, j] / pair_dist).sum(axis=-1)
     diagonal = np.arange(spec.bodies)
     dist[..., diagonal, diagonal] = 1.0  # diagonal of diff is zero, so grad[i, i] = 0
-    grad = (mm / dist ** 3)[..., None] * diff
-    grad = grad.sum(axis=-2).reshape(np.shape(q))
+    # In place, so a stacked call (the solver's probes, say) holds no third
+    # (..., N, N, d) array; the values are those of the out-of-place form.
+    weight = np.divide(mm, np.power(dist, 3, out=dist), out=dist)
+    grad = np.multiply(weight[..., None], diff, out=diff).sum(axis=-2)
+    grad = grad.reshape(np.shape(q))
     return (float(value) if value.ndim == 0 else value), grad
 
 
