@@ -213,6 +213,14 @@ def cmd_solve_cc(args) -> int:
     return max(codes)
 
 
+def _flow_of(built: BuiltSystem):
+    """(field, c, default flat start) of what a command integrates: a
+    conformal benchmark's own, or H with c = 0 and no default start."""
+    if isinstance(built.system, ConformalSystem):
+        return built.system.field, built.system.c, built.system.z0
+    return built.system.hamiltonian_field(), 0.0, None
+
+
 def cmd_verify(args) -> int:
     spec, built = _build(args)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
@@ -222,8 +230,14 @@ def cmd_verify(args) -> int:
                               f"{', '.join(CHECK_NAMES)}")
 
     results = []
-    is_conformal = isinstance(built.system, ConformalSystem)
-    report = built.symmetry_report
+    action, report = built.action, built.symmetry_report
+    # One trajectory serves both flow-level checks; a conformal benchmark
+    # declares no action, so it has no Noether check.
+    if "flow" in checks or ("noether" in checks and action is not None):
+        field, c, flat = _flow_of(built)
+        z0 = (_expanding_state(built, args.seed) if flat is None
+              else PhasePoint.from_flat(flat))
+        traj = integrate(field, c, z0, args.t_final, args.dt, action=action)
 
     for name in checks:
         if name in _SYMMETRY_SELECTORS:
@@ -232,15 +246,17 @@ def cmd_verify(args) -> int:
             for sub in _SYMMETRY_SELECTORS[name]:
                 results.append(report.check(sub).to_dict() | {"selector": name})
         elif name == "noether":
-            if is_conformal:
+            if action is None:
                 continue
-            drift = _noether_drift(built, args)
+            series = noether_series(action, traj)
+            drift = float(series.drift / max(1.0, abs(series.values[0])))
             results.append({"name": "noether-drift", "selector": "noether",
                             "max_residual": drift,
                             "passed": drift <= args.flow_tol})
         elif name == "flow":
-            fr = dataclasses.replace(_flow_defects(built, args),
-                                     tolerance=args.flow_tol)
+            fr = dataclasses.replace(
+                verify_conformal_flow(field, c, traj, args.t_final, args.dt),
+                tolerance=args.flow_tol)
             worst = max(fr.conformal_defect, fr.volume_defect,
                         fr.energy_rate_defect)
             results.append({"name": "flow-defects", "selector": "flow",
@@ -260,7 +276,9 @@ def cmd_verify(args) -> int:
 
 
 def _expanding_state(built: BuiltSystem, seed: int) -> PhasePoint:
-    # A homothetically expanding start stays collision-free on any window.
+    # A random separated configuration q (the solve-cc start) with p = M xi q.
+    # It is not a central configuration, so nothing keeps a long window
+    # collision-free (ROADMAP item 2).
     system, action = built.system, built.action
     q = _random_start(system, np.random.default_rng(seed))
     try:
@@ -270,32 +288,9 @@ def _expanding_state(built: BuiltSystem, seed: int) -> PhasePoint:
     return PhasePoint(q, momentum_from_config(system, action, xi, q))
 
 
-def _noether_drift(built: BuiltSystem, args) -> float:
-    z0 = _expanding_state(built, args.seed)
-    traj = integrate(built.system.hamiltonian_field(), 0.0, z0, args.t_final,
-                     args.dt, action=built.action)
-    series = noether_series(built.action, traj)
-    return float(series.drift / max(1.0, abs(series.values[0])))
-
-
-def _flow_defects(built: BuiltSystem, args):
-    if isinstance(built.system, ConformalSystem):
-        z0 = PhasePoint.from_flat(built.system.z0)
-        return verify_conformal_flow(built.system.field, built.system.c, z0,
-                                     args.t_final, args.dt)
-    z0 = _expanding_state(built, args.seed)
-    return verify_conformal_flow(built.system.hamiltonian_field(), 0.0, z0,
-                                 args.t_final, args.dt)
-
-
 def cmd_integrate(args) -> int:
     spec, built = _build(args)
-    if isinstance(built.system, ConformalSystem):
-        field, c = built.system.field, built.system.c
-        default_z0 = built.system.z0
-    else:
-        field, c = built.system.hamiltonian_field(), 0.0
-        default_z0 = None
+    field, c, default_z0 = _flow_of(built)
 
     if args.init:
         flat = _load_vector(args.init)
@@ -321,11 +316,14 @@ def cmd_homothetic(args) -> int:
     built = make_system(re_doc["system"], samples=args.samples, seed=args.seed)
     system, action = _mechanical_or_die(built)
     # Earn the certificate again; the file's p, flag and residuals are ignored.
-    q = np.atleast_1d(np.asarray(re_doc["q"], float))
+    try:
+        q = np.atleast_1d(np.asarray(re_doc["q"], float))
+        xi = float(re_doc["xi"])
+    except (TypeError, ValueError):
+        raise SchemaError("q and xi must be numbers") from None
     if q.shape != (system.n,):
         raise DimensionMismatch(f"q has shape {q.shape}, expected ({system.n},)")
-    re = certify_relative_equilibrium(system, action, q, float(re_doc["xi"]),
-                                      tol=args.tol)
+    re = certify_relative_equilibrium(system, action, q, xi, tol=args.tol)
     report = verify_homothetic_orbit(system.hamiltonian_field(), action, re,
                                      args.t_final, args.dt)
     payload = report.to_dict() | {"system": re_doc["system"],

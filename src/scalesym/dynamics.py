@@ -11,6 +11,9 @@ against the structural identities
     A^T Omega A = e^{ct} Omega,      det A = e^{nct},
 
 and the energy-rate law dF/dt = c * theta(X_F^c) = c * p . dF/dp.
+``verify_conformal_flow`` certifies a trajectory that ``integrate``
+returned: A is taken at its first row and the energy rate read along it,
+so the CLI's flow and Noether checks share one integration.
 
 ``integrate`` and ``flow_jacobian`` share one RK4 loop on flat states
 y = (q, p).  The loop is written on the last axis, so it advances a
@@ -34,7 +37,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import BlowupWindow, DimensionMismatch, NonFiniteValue, UncertifiedInput
+from .errors import BlowupWindow, DimensionMismatch, NonFiniteValue, SchemaError, \
+    UncertifiedInput
 from .phase import PhasePoint, ScalarField, _fd_stack_jacobian, omega_matrix
 from .scaling import ScalingAction, _lift, _momentum
 
@@ -103,11 +107,11 @@ class FlowReport:
 
 
 def _step_count(t_final: float, dt: float) -> int:
-    if dt <= 0 or t_final < 0:
-        raise ValueError("need dt > 0 and t_final >= 0")
+    if not (dt > 0 and 0 <= t_final / dt < np.inf):
+        raise SchemaError("need dt > 0, t_final >= 0 and a finite t_final/dt")
     m = round(t_final / dt)
     if abs(m * dt - t_final) > 1e-9 * max(dt, t_final):
-        raise ValueError(f"t_final={t_final} is not a multiple of dt={dt}")
+        raise SchemaError(f"t_final={t_final} is not a multiple of dt={dt}")
     return m
 
 
@@ -191,25 +195,33 @@ def flow_jacobian(F: ScalarField, c: float, z0: PhasePoint, t: float,
     return _fd_stack_jacobian(lambda probes: _rk4(F, c, probes, m, dt), z0.flat())
 
 
-def verify_conformal_flow(F: ScalarField, c: float, z0: PhasePoint, t: float,
+def verify_conformal_flow(F: ScalarField, c: float, traj: Trajectory, t: float,
                           dt: float) -> FlowReport:
-    """Certify conformality, volume scaling, and the energy-rate law at time t.
+    """Certify conformality, volume scaling, and the energy-rate law at time t
+    along a trajectory that ``integrate(F, c, z0, t, dt)`` returned.
 
-    The flow Jacobian A is taken by finite differences; the report carries
+    The flow Jacobian A at the trajectory's first row is taken by finite
+    differences; the report carries
 
         max |A^T Omega A - e^{ct} Omega|,   |det A - e^{nct}|,
 
     (n the configuration dimension) and the max pointwise defect of
-    dF/dt - c theta(X) along the trajectory from z0.
+    dF/dt - c theta(X) along the trajectory.  A trajectory without the
+    m + 1 rows of m = t/dt >= 1 steps is rejected.
     """
-    n = z0.n
-    A = flow_jacobian(F, c, z0, t, dt)
+    m = _step_count(t, dt)
+    if m < 1:
+        raise SchemaError("the flow check needs a window of at least one step")
+    if len(traj) != m + 1:
+        raise DimensionMismatch(
+            f"trajectory has {len(traj)} rows; t={t}, dt={dt} needs {m + 1}")
+    n = traj.n
+    A = flow_jacobian(F, c, traj.state(0), t, dt)
     omega = omega_matrix(n)
     factor = float(np.exp(c * t))
     conformal = float(np.max(np.abs(A.T @ omega @ A - factor * omega)))
     volume = float(abs(np.linalg.det(A) - np.exp(n * c * t)))
 
-    traj = integrate(F, c, z0, t, dt)
     dF_dt = np.gradient(traj.energy, traj.times)
     rate = c * 2.0 * traj.kinetic
     # np.gradient is first-order at the ends; compare interior nodes only.

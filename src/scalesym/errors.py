@@ -18,7 +18,8 @@ class NonFiniteValue(ScaleSymError, ValueError):
 
 
 class SchemaError(ScaleSymError, ValueError):
-    """A system/action specification violates the JSON schema."""
+    """A system/action specification violates the JSON schema, or a run
+    setting (window, step, sample count) is out of range."""
 
 
 class CollisionDetected(ScaleSymError, RuntimeError):

@@ -161,14 +161,15 @@ def anisotropic_kepler_system(mu: float) -> SimpleMechanicalSystem:
 
 
 def homogeneous_system(potential, gradient, n: int, alpha: float, *,
-                       mass_matrix=None, seed: int = 0,
+                       mass_matrix=None,
                        name: str = "homogeneous") -> SimpleMechanicalSystem:
-    """Wrap a homogeneous potential, checking U(g q) = g^alpha U(q) at probes.
+    """Wrap a homogeneous potential, checking U(g q) = g^alpha U(q) at 8
+    seeded probes.
 
     ``potential`` and ``gradient`` take one configuration; the system maps
     ``gradient`` over the rows of a (..., n) stack.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for _ in range(8):
         q = rng.uniform(0.3, 1.2, size=n) * rng.choice([-1.0, 1.0], size=n)
         g = float(np.exp(rng.uniform(-0.5, 0.5)))
@@ -247,11 +248,11 @@ def measure_kinetic_weight(action: ScalingAction, mass_matrix, *,
     return snapped if abs(snapped - a_ref) < 1e-9 else a_ref
 
 
-def _nbody_probe(spec: NBodySpec, min_sep: float = 0.35):
-    def probe(rng) -> PhasePoint:
+def _nbody_probe(spec: NBodySpec):
+    def probe(rng) -> PhasePoint:  # separations of at least 0.35
         for _ in range(200):
             q = rng.uniform(-1.25, 1.25, size=spec.n)
-            if min_pairwise_distance(spec, q) >= min_sep:
+            if min_pairwise_distance(spec, q) >= 0.35:
                 return PhasePoint(q, rng.uniform(-1.25, 1.25, size=spec.n))
         raise SchemaError("failed to draw a separated configuration")
 
@@ -276,14 +277,15 @@ def _action_from_json(fragment: dict, n: int, *, default_b: float) -> ScalingAct
                                   float(fragment.get("b", default_b)))
 
 
-def make_system(spec_json: dict, *, samples: int = 32, seed: int = 0,
-                tol: float = 1e-6) -> BuiltSystem:
+def make_system(spec_json: dict, *, samples: int = 32,
+                seed: int = 0) -> BuiltSystem:
     """Construct (system, action) from a JSON-style dict and verify the pair.
 
     Schema: {"type": "nbody" | "homogeneous" | "anisotropic-kepler" |
     "damped-oscillator", "masses": [...], "dim": int, "alpha": real?,
-    "mu": real?, "b": real?, "action": {...}?, "z0": [...]?}.  A failed
-    symmetry verification is returned in the report, not raised.
+    "mu": real?, "b": real?, "action": {...}?, "z0": [...]?}.  The pair is
+    verified at tolerance 1e-6; a failure is returned in the report, not
+    raised.
     """
     if not isinstance(spec_json, dict) or "type" not in spec_json:
         raise SchemaError("system spec must be a dict with a 'type' key")
@@ -340,8 +342,7 @@ def make_system(spec_json: dict, *, samples: int = 32, seed: int = 0,
             system.n, lift_exponent(a, alpha), alpha)
 
     report = verify_scaling_symmetry(action, system.hamiltonian_field(),
-                                     samples=samples, seed=seed, tol=tol,
-                                     probe=probe)
+                                     samples=samples, seed=seed, probe=probe)
     return BuiltSystem(system=system, action=action, symmetry_report=report)
 
 
@@ -363,14 +364,15 @@ def lagrange_triangle(masses, side: float = 1.0) -> np.ndarray:
     return verts.ravel()
 
 
-def euler_collinear_oracle(masses, *, tol: float = 1e-12) -> float:
+def euler_collinear_oracle(masses) -> float:
     """Interior position ratio of the collinear central configuration.
 
     Bodies sit on a line at 0, x, 1 in the order given; the balance
     residual is the first component of the central-configuration equation
     (Kepler exponents, xi^2 eliminated through the homogeneity identity),
-    which changes sign exactly once on (0, 1).  Bisection, not the
-    shape-space solver, so the two can cross-validate each other.
+    which changes sign exactly once on (0, 1).  Bisection to a bracket of
+    1e-12, not the shape-space solver, so the two can cross-validate each
+    other.
     """
     m = np.asarray(masses, dtype=float)
     if m.shape != (3,) or np.any(m <= 0):
@@ -389,7 +391,7 @@ def euler_collinear_oracle(masses, *, tol: float = 1e-12) -> float:
     f_lo, f_hi = balance(lo), balance(hi)
     if f_lo * f_hi > 0:
         raise RuntimeError("no sign change on (0, 1); cannot bracket the root")
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         f_mid = balance(mid)
         if f_mid == 0.0:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scalesym import FD_STEP, cli, certify_relative_equilibrium, \
+from scalesym import FD_STEP, cli, certify_relative_equilibrium, dynamics, \
     euler_collinear_oracle, integrate, lagrange_triangle, make_system
 from scalesym.cli import main, read_trajectory_csv, write_trajectory_csv
 from scalesym.systems import damped_oscillator
@@ -145,6 +145,37 @@ def test_verify_damped_oscillator_flow(workdir):
     assert doc["checks"][0]["report"]["volume_defect"] <= 1e-5
 
 
+def _count_integrations(monkeypatch) -> list:
+    # Both namespaces: the CLI's own calls and any the flow check makes.
+    calls = []
+
+    def counting_integrate(*args, **kwargs):
+        calls.append(args[2])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate", counting_integrate)
+    monkeypatch.setattr(dynamics, "integrate", counting_integrate)
+    return calls
+
+
+def test_verify_noether_and_flow_integrate_one_trajectory(workdir, monkeypatch):
+    calls = _count_integrations(monkeypatch)
+    code = main(["verify", "--system", str(workdir / "nbody3.json"),
+                 "--checks", "noether,flow", "--t-final", "0.02",
+                 "--out", str(workdir / "verify-once.json")])
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_verify_damped_oscillator_flow_integrates_once(workdir, monkeypatch):
+    calls = _count_integrations(monkeypatch)
+    assert main(["verify", "--system", str(workdir / "damped.json"),
+                 "--checks", "flow", "--t-final", "0.1",
+                 "--out", str(workdir / "verify-flow-once.json")]) == 0
+    assert len(calls) == 1
+    assert list(calls[0].flat()) == [1.0, 0.0]  # the benchmark's own start
+
+
 def test_verify_collision_in_a_flow_probe_exits_4(workdir, capsys):
     # The threshold sits half a probe step under the start's separation: the
     # expanding start itself stays clear (noether integrates it over the
@@ -278,6 +309,34 @@ def test_homothetic_rejects_a_q_of_the_wrong_length(workdir):
     code = main(["homothetic", "--re", str(re_path), "--t-final", "0.1",
                  "--out", str(workdir / "h-short.json")])
     assert code == 1
+
+
+BAD_NUMBERS = {
+    "t-final-not-a-multiple-of-dt": ["integrate", "--system", "damped.json",
+                                     "--t-final", "0.15", "--dt", "0.1",
+                                     "--out", "bad.csv"],
+    "negative-dt": ["integrate", "--system", "damped.json", "--dt", "-1",
+                    "--out", "bad.csv"],
+    "step-count-overflow": ["integrate", "--system", "damped.json",
+                            "--t-final", "1e300", "--dt", "1e-300", "--out", "bad.csv"],
+    "zero-samples": ["verify", "--system", "nbody3.json", "--samples", "0",
+                     "--out", "bad.json"],
+    "zero-flow-window": ["verify", "--system", "nbody3.json", "--checks", "flow",
+                         "--t-final", "0", "--out", "bad.json"],
+    "xi-not-a-number": ["homothetic", "--re", "re-bad-xi.json", "--out", "bad.json"],
+    "q-not-numbers": ["homothetic", "--re", "re-bad-q.json", "--out", "bad.json"],
+}
+
+
+@pytest.mark.parametrize("argv", list(BAD_NUMBERS.values()), ids=list(BAD_NUMBERS))
+def test_bad_numbers_exit_1_with_one_error_line(workdir, monkeypatch, capsys, argv):
+    monkeypatch.chdir(workdir)
+    doc = _two_body_re_doc()
+    (workdir / "re-bad-xi.json").write_text(json.dumps(doc | {"xi": "abc"}))
+    (workdir / "re-bad-q.json").write_text(json.dumps(doc | {"q": ["a"] * 6}))
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_homothetic_past_blowup_window(workdir):

@@ -124,18 +124,26 @@ def test_flow_jacobian_damped_oscillator_matrix_exponential():
 def test_conformal_flow_hamiltonian_case_is_symplectic():
     osc = ScalarField(value=lambda q, p: 0.5 * float(p @ p) + 0.5 * float(q @ q),
                       grad=lambda q, p: (q.copy(), p.copy()))
-    report = verify_conformal_flow(osc, 0.0, PhasePoint([0.7], [-0.2]), 1.0, 1e-3)
+    traj = integrate(osc, 0.0, PhasePoint([0.7], [-0.2]), 1.0, 1e-3)
+    report = verify_conformal_flow(osc, 0.0, traj, 1.0, 1e-3)
     assert report.volume_defect < 1e-6
     assert report.conformal_defect < 1e-6
 
 
 def test_conformal_flow_damped_oscillator():
     system = damped_oscillator(0.1)
-    report = verify_conformal_flow(system.field, system.c,
-                                   PhasePoint([1.0], [0.0]), 1.0, 1e-3)
+    traj = integrate(system.field, system.c, PhasePoint([1.0], [0.0]), 1.0, 1e-3)
+    report = verify_conformal_flow(system.field, system.c, traj, 1.0, 1e-3)
     assert report.volume_defect < 1e-5          # det A = e^{-0.1}
     assert report.conformal_defect < 1e-5       # A^T Omega A = e^{-0.1} Omega
     assert report.energy_rate_defect < 1e-5     # dF/dt = c p dF/dp
+
+
+def test_conformal_flow_rejects_a_trajectory_of_another_window():
+    system = damped_oscillator(0.1)
+    traj = integrate(system.field, system.c, PhasePoint([1.0], [0.0]), 0.1, 1e-3)
+    with pytest.raises(DimensionMismatch):
+        verify_conformal_flow(system.field, system.c, traj, 0.2, 1e-3)
 
 
 def test_conformal_factor_against_omega_matrix():
@@ -151,7 +159,8 @@ def test_conformal_flow_anisotropic_kepler():
 
     system = anisotropic_kepler_system(2.0)
     z0 = PhasePoint([1.0, 0.4], [0.1, 0.9])
-    report = verify_conformal_flow(system.hamiltonian_field(), 0.0, z0, 1.0, 1e-3)
+    H = system.hamiltonian_field()
+    report = verify_conformal_flow(H, 0.0, integrate(H, 0.0, z0, 1.0, 1e-3), 1.0, 1e-3)
     assert report.conformal_defect < 1e-5
     assert report.volume_defect < 1e-5
 

@@ -4,13 +4,16 @@ Four runs on a planar 3-body system, plus ``verify`` on the anisotropic
 Kepler problem and on the damped oscillator, whose flow checks go through
 single-body and conformal (c != 0) fields, plus two ``solve-cc`` runs from
 random starts of 10 equal masses in 3-D: seed 1 certifies, seed 13 exits 2
-with "damping overflow", and its diagnostics are pinned too.  Identical
+with "damping overflow", and its diagnostics are pinned too, plus
+``verify --checks flow,noether`` on the 3-body spec, whose two flow-level
+checks read one trajectory in the order requested.  Identical
 (config, seed) pairs must keep producing byte-identical artifacts across
 refactors.  The first four digests were recorded from the build before the
 field contract moved from PhasePoint arguments to (q, p) arrays, the next
 two from the build before flow_jacobian integrated its probes as one
-stack, the last two from the build before the solver's Jacobian evaluated
-its probes as one stack; a change that alters any artifact must say so and
+stack, the next two from the build before the solver's Jacobian evaluated
+its probes as one stack, and the last from the build before ``verify``
+integrated its start once for both checks; a change that alters any artifact must say so and
 re-record them.  Paths are relative to the working directory because the
 artifacts embed them.
 """
@@ -43,6 +46,7 @@ GOLDEN = {
     "verify-oscillator": "7ad4b7b0efd854f204adf114d057c0f3e342170b72fee0f12c5e611f634870f8",
     "solve-cc-random-seed1": "58daf8359680c5a1d49e3f007a2daf19f3ed5f8553248f4c2e09bebc4901e3a5",
     "solve-cc-random-seed13": "0c5df59b714a40f334bb7fdb9eea0d73eaa6757cc4d55cd70337c589d5171699",
+    "verify-flow-noether": "9fe0974679dd6e0d442cb5e19626af7307a4cb73ac535d33cfc3864a42008e81",
 }
 
 RUNS = {
@@ -62,6 +66,8 @@ RUNS = {
                               "--out", "s1.json"],
     "solve-cc-random-seed13": ["solve-cc", "--system", "equal10.json", "--seed", "13",
                                "--out", "s13.json"],
+    "verify-flow-noether": ["verify", "--system", "spec.json", "--checks", "flow,noether",
+                            "--t-final", "0.02", "--out", "verify-reverse.json"],
 }
 # Every run exits 0 except this one, whose solver fails.
 EXIT_CODES = {"solve-cc-random-seed13": 2}

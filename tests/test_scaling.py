@@ -21,6 +21,7 @@ from scalesym import (
     phase_jacobian_fd,
     verify_scaling_symmetry,
 )
+from scalesym.errors import NonFiniteValue
 from scalesym.phase import TangentVector
 
 from conftest import kepler_action, quadratic_action, random_phase_point
@@ -322,3 +323,30 @@ def test_verifier_fails_a_nan_residual():
     assert not report.check("invariance").passed
     assert math.isnan(report.check("invariance").max_residual)
     assert math.isnan(report.max_residual)
+
+
+def test_verifier_does_not_redraw_past_a_fault_in_the_field():
+    # Only a singular or failing draw is redrawn; a TypeError in H is a bug
+    # in H and must surface, not turn into "could not draw a probe".
+    def value(q, p):
+        return len(float(q @ q))
+
+    H = ScalarField(value=value, grad=lambda q, p: (q, p))
+    with pytest.raises(TypeError):
+        verify_scaling_symmetry(ScalingAction.uniform_dilation(2, 2.0, 2.0), H)
+
+
+def test_verifier_redraws_a_probe_where_the_field_is_singular():
+    def value(q, p):
+        if q[0] < 0:
+            raise ZeroDivisionError("singular")
+        return 1.5 * float(p @ p + q @ q)
+
+    H = ScalarField(value=value, grad=lambda q, p: (3.0 * q, 3.0 * p))
+    report = verify_scaling_symmetry(ScalingAction.uniform_dilation(2, 2.0, 2.0),
+                                     H, samples=4)
+    assert report.passed
+    with pytest.raises(NonFiniteValue):
+        verify_scaling_symmetry(ScalingAction.uniform_dilation(2, 2.0, 2.0),
+                                ScalarField(value=lambda q, p: 1 / 0,
+                                            grad=lambda q, p: (q, p)))
