@@ -81,7 +81,6 @@ from .systems import (
     homogeneous_system,
     lagrange_triangle,
     make_system,
-    measure_kinetic_weight,
     min_pairwise_distance,
     nbody_potential_and_gradient,
     nbody_system,

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CollisionDetected, DimensionMismatch, NonFiniteValue, \
-    SolverDidNotConverge, SymmetryVerificationFailed
+    SchemaError, SolverDidNotConverge, SymmetryVerificationFailed
 from .phase import PhasePoint, ScalarField, _fd_stack_jacobian
 from .scaling import (
     ScalingAction,
@@ -61,9 +61,9 @@ class SimpleMechanicalSystem:
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise DimensionMismatch(f"mass matrix must be square, got {M.shape}")
         if not np.allclose(M, M.T, atol=1e-12):
-            raise ValueError("mass matrix must be symmetric")
+            raise SchemaError("mass matrix must be symmetric")
         if np.any(np.linalg.eigvalsh(M) <= 0):
-            raise ValueError("mass matrix must be positive definite")
+            raise SchemaError("mass matrix must be positive definite")
         object.__setattr__(self, "mass_matrix", M)
         diagonal = np.diagonal(M).copy()
         object.__setattr__(self, "_mass_diagonal",

@@ -34,7 +34,6 @@ from .phase import (
     _fd_stack_jacobian,
     _map_rows,
     _worst,
-    conformal_vector_field,
     fd_jacobian,
     omega_matrix,
 )
@@ -85,9 +84,10 @@ class ScalingAction:
         """Build a custom action, cross-checking the supplied Jacobians.
 
         At 8 seeded probes, ``dpsi`` is compared against finite differences
-        of ``psi`` and ``xi_q`` against d/dt|_0 psi(e^t, q) (relative
-        tolerance 1e-6), and the group law psi(gh, q) = psi(g, psi(h, q)) is
-        probed; any miss beyond the tolerances raises.
+        of ``psi``, ``xi_q`` against d/dt|_0 psi(e^t, q) and ``dxi_q``
+        against finite differences of ``xi_q`` (relative tolerance 1e-6),
+        and the group law psi(gh, q) = psi(g, psi(h, q)) is probed; any
+        miss beyond the tolerances, or a NaN, raises.
         """
         action = cls(n=n, c=float(c), b=float(b), psi=psi, dpsi=dpsi,
                      xi_q=xi_q, dxi_q=dxi_q)
@@ -97,16 +97,24 @@ class ScalingAction:
             q = rng.uniform(-1.0, 1.0, size=n)
             g = float(np.exp(rng.uniform(-0.7, 0.7)))
             h = float(np.exp(rng.uniform(-0.7, 0.7)))
-            jac = fd_jacobian(lambda w: psi(g, w), q)
-            if np.max(np.abs(jac - dpsi(g, q))) > rtol * max(1.0, np.max(np.abs(jac))):
+            if not _agrees(fd_jacobian(lambda w: psi(g, w), q), dpsi(g, q), rtol):
                 raise ValueError("dpsi disagrees with finite differences of psi")
             gen_fd = fd_jacobian(lambda t: psi(np.exp(t[0]), q), [0.0])[:, 0]
-            if np.max(np.abs(gen_fd - xi_q(q))) > rtol * max(1.0, np.max(np.abs(gen_fd))):
+            if not _agrees(gen_fd, xi_q(q), rtol):
                 raise ValueError("xi_q disagrees with d/dt|0 psi(e^t, q)")
-            law = psi(g * h, q) - psi(g, psi(h, q))
-            if np.max(np.abs(law)) > 1e-10 * max(1.0, np.max(np.abs(psi(g * h, q)))):
+            if not _agrees(fd_jacobian(xi_q, q), dxi_q(q), rtol):
+                raise ValueError("dxi_q disagrees with finite differences of xi_q")
+            if not _agrees(psi(g * h, q), psi(g, psi(h, q)), 1e-10):
                 raise ValueError("psi violates the group law psi(gh) = psi(g) o psi(h)")
         return action
+
+
+def _agrees(reference, value, rtol: float) -> bool:
+    """max |reference - value| <= rtol * max(1, max |reference|); a NaN on
+    either side disagrees."""
+    reference = np.asarray(reference, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(reference))))
+    return bool(np.max(np.abs(reference - value)) <= rtol * scale)
 
 
 def act_config(action: ScalingAction, g: float, q) -> np.ndarray:
@@ -169,12 +177,16 @@ def generator_config_jacobian(action: ScalingAction, xi: float, q) -> np.ndarray
     return xi * np.asarray(_map_rows(action.dxi_q, q), dtype=float)
 
 
+def _generator(action: ScalingAction, xi: float, q, p) -> tuple[np.ndarray, np.ndarray]:
+    """generator_phase on bare coordinate arrays."""
+    dq = generator_config(action, xi, q)
+    djac = generator_config_jacobian(action, xi, q)
+    return dq, action.c * xi * p - djac.T @ p
+
+
 def generator_phase(action: ScalingAction, xi: float, z: PhasePoint) -> TangentVector:
     """Lifted generator (xi_Q(q), (c xi Id - (D xi_Q(q))^T) p)."""
-    dq = generator_config(action, xi, z.q)
-    djac = generator_config_jacobian(action, xi, z.q)
-    dp = action.c * xi * z.p - djac.T @ z.p
-    return TangentVector(dq, dp)
+    return TangentVector(*_generator(action, xi, z.q, z.p))
 
 
 def _momentum(action: ScalingAction, q, p) -> float:
@@ -294,7 +306,11 @@ def verify_scaling_symmetry(action: ScalingAction, H: ScalarField,
     5. momentum-invariance: J(Phi_g z) = g^c J(z)
 
     Failures are reported, not raised.  A NaN or infinite residual fails
-    its check and is reported as is.
+    its check and is reported as is.  Each probe is validated once, as a
+    PhasePoint; the lifted probe, the gradients of J and the generator
+    stay bare arrays, so a non-finite one gives its check a NaN residual.
+    Only the finite-difference lift Jacobian still raises NonFiniteValue,
+    where the lift is not finite next to a probe.
     """
     if samples < 1:
         raise SchemaError("samples must be >= 1")
@@ -310,6 +326,8 @@ def verify_scaling_symmetry(action: ScalingAction, H: ScalarField,
         g = float(np.exp(rng.uniform(-np.log(2.0), np.log(2.0))))
         xi = float(rng.uniform(0.25, 2.0))
 
+        q, p = z.q, z.p
+
         jac = phase_jacobian_fd(action, g, z)
         lhs = jac.T @ omega @ jac
         scale = g ** action.c
@@ -317,29 +335,29 @@ def verify_scaling_symmetry(action: ScalingAction, H: ScalarField,
             residuals["conformality"],
             _rel(float(np.max(np.abs(lhs - scale * omega))), scale))
 
-        h0 = H.value(z.q, z.p)
-        z_g = act_phase(action, g, z)
-        h1 = H.value(z_g.q, z_g.p)
+        h0 = H.value(q, p)
+        q_g, p_g = _lift(action, g, q, p)
+        h1 = H.value(q_g, p_g)
         residuals["invariance"] = _worst(
             residuals["invariance"],
             _rel(abs(h1 - g ** action.b * h0), h1, g ** action.b * h0))
 
-        field = momentum_field(action, xi)
-        xv = conformal_vector_field(field, xi * action.c, z).flat()
-        gen = generator_phase(action, xi, z).flat()
+        # X_{J_xi}^{xi c} = (dJ_xi/dp, -dJ_xi/dq + xi c p)
+        gq, gp = momentum_field(action, xi).grad(q, p)
+        xv = np.concatenate((gp, -gq + (xi * action.c) * p))
+        gen = np.concatenate(_generator(action, xi, q, p))
         residuals["momentum-map"] = _worst(
             residuals["momentum-map"],
             _rel(float(np.max(np.abs(xv - gen))), float(np.max(np.abs(gen)))))
 
-        j0 = momentum_map(action, z)
-        xj = conformal_vector_field(J_field, action.c, z)
-        gq, gp = J_field.grad(z.q, z.p)
-        directional = float(gq @ xj.dq + gp @ xj.dp)
+        j0 = _momentum(action, q, p)
+        gq, gp = J_field.grad(q, p)
+        directional = float(gq @ gp + gp @ (-gq + action.c * p))  # dJ . X_J^c
         residuals["scaling-function"] = _worst(
             residuals["scaling-function"],
             _rel(abs(directional - action.c * j0), j0))
 
-        j1 = momentum_map(action, z_g)
+        j1 = _momentum(action, q_g, p_g)
         residuals["momentum-invariance"] = _worst(
             residuals["momentum-invariance"],
             _rel(abs(j1 - g ** action.c * j0), j1, j0))

@@ -3,11 +3,12 @@
 Ships the Newtonian n-body problem (G = 1, masses carry all coupling),
 the anisotropic Kepler problem, generic homogeneous potentials, and the
 damped-oscillator benchmark.  ``make_system`` builds a system plus its
-scaling action from a JSON-style dict: for homogeneous potentials the
-Hamiltonian weight is b = alpha, the kinetic weight a is measured
-numerically, and the lift exponent follows as c = (a + b) / 2; the pair
-is then run through the scaling-symmetry verifier, whose report travels
-with the result instead of raising.
+scaling action from a JSON-style dict: for homogeneous potentials under
+the uniform dilation the Hamiltonian weight is b = alpha, the kinetic
+weight is a = 2 (every constant metric scales by g^2), and the lift
+exponent follows as c = (a + b) / 2 = (2 + alpha) / 2; the pair is then
+run through the scaling-symmetry verifier, whose report travels with the
+result instead of raising.
 """
 
 import math
@@ -18,25 +19,55 @@ import numpy as np
 
 from .equilibria import SimpleMechanicalSystem, central_config_residual, \
     xi_squared_from_config
-from .errors import CollisionDetected, SchemaError
+from .errors import CollisionDetected, DimensionMismatch, SchemaError
 from .phase import PhasePoint, ScalarField, _map_rows
-from .scaling import ScalingAction, config_jacobian, lift_exponent, \
-    verify_scaling_symmetry
+from .scaling import ScalingAction, lift_exponent, verify_scaling_symmetry
+
+
+def _numbers(value, name: str) -> np.ndarray:
+    """A spec value as a finite float array, or SchemaError."""
+    try:
+        x = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{name} must be numeric") from None
+    if not np.isfinite(x).all():
+        raise SchemaError(f"{name} must be finite")
+    return x
+
+
+def _number(value, name: str) -> float:
+    x = _numbers(value, name)
+    if x.ndim != 0:
+        raise SchemaError(f"{name} must be one number")
+    return float(x)
+
+
+def _count(value, name: str) -> int:
+    x = _number(value, name)
+    if x < 1 or x != int(x):
+        raise SchemaError(f"{name} must be a positive integer")
+    return int(x)
 
 
 @dataclass(frozen=True)
 class NBodySpec:
-    """Masses and spatial dimension of a point-mass gravitational system."""
+    """Masses and spatial dimension of a point-mass gravitational system.
+
+    At least two finite positive masses and an integer dim >= 1; anything
+    else raises SchemaError.
+    """
 
     masses: tuple
     dim: int = 3
 
     def __post_init__(self):
-        if any(m <= 0 for m in self.masses):
+        masses = _numbers(self.masses, "masses")
+        if masses.ndim != 1 or len(masses) < 2:
+            raise SchemaError("masses must be a list of at least two numbers")
+        if np.any(masses <= 0):
             raise SchemaError("all masses must be positive")
-        if self.dim < 1:
-            raise SchemaError("dim must be at least 1")
-        object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
+        object.__setattr__(self, "masses", tuple(float(m) for m in masses))
+        object.__setattr__(self, "dim", _count(self.dim, "dim"))
 
     @property
     def bodies(self) -> int:
@@ -179,6 +210,8 @@ def homogeneous_system(potential, gradient, n: int, alpha: float, *,
                 f"potential is not homogeneous of degree {alpha}: "
                 f"U(gq)={u1:.6e} vs g^a U={g ** alpha * u0:.6e}")
     M = np.eye(n) if mass_matrix is None else np.asarray(mass_matrix, float)
+    if M.shape != (n, n):
+        raise DimensionMismatch(f"mass matrix shape {M.shape} != ({n}, {n})")
     return SimpleMechanicalSystem(
         mass_matrix=M, potential=potential,
         potential_gradient=lambda q: _map_rows(gradient, q), alpha=alpha,
@@ -221,33 +254,6 @@ def damped_oscillator(friction: float) -> ConformalSystem:
                            name="damped-oscillator")
 
 
-def measure_kinetic_weight(action: ScalingAction, mass_matrix, *,
-                           seed: int = 0) -> float:
-    """Kinetic weight a with K(T Psi_g v) = g^a K(v), measured at probes.
-
-    Fits a from the first probe and checks consistency across further
-    probes and group elements; raises SchemaError when no single weight fits.
-    """
-    M = np.asarray(mass_matrix, dtype=float)
-    rng = np.random.default_rng(seed)
-    a_ref = None
-    for _ in range(8):
-        q = rng.uniform(-1.0, 1.0, size=action.n)
-        v = rng.uniform(-1.0, 1.0, size=action.n)
-        g = float(np.exp(rng.uniform(0.3, 1.0)))
-        jac = config_jacobian(action, g, q)
-        ratio = float((jac @ v) @ M @ (jac @ v)) / float(v @ M @ v)
-        a = math.log(ratio) / math.log(g)
-        if a_ref is None:
-            a_ref = a
-        elif abs(a - a_ref) > 1e-8 * max(1.0, abs(a_ref)):
-            raise SchemaError(
-                "kinetic energy has no single conformal weight under this action")
-    # Strip measurement rounding when the weight is a half-integer.
-    snapped = round(2.0 * a_ref) / 2.0
-    return snapped if abs(snapped - a_ref) < 1e-9 else a_ref
-
-
 def _nbody_probe(spec: NBodySpec):
     def probe(rng) -> PhasePoint:  # separations of at least 0.35
         for _ in range(200):
@@ -260,21 +266,23 @@ def _nbody_probe(spec: NBodySpec):
 
 
 def _action_from_json(fragment: dict, n: int, *, default_b: float) -> ScalingAction:
+    if not isinstance(fragment, dict):
+        raise SchemaError("action must be a dict")
     if fragment.get("kind", "dilation") != "dilation":
         raise SchemaError(f"unknown action kind {fragment.get('kind')!r}")
     weights = fragment.get("weights")
     if weights is None:
         weights = np.ones(n)
     else:
-        weights = np.atleast_1d(np.asarray(weights, dtype=float))
+        weights = np.atleast_1d(_numbers(weights, "action weights"))
         if weights.size == 1:
             weights = np.full(n, float(weights[0]))
         elif len(weights) != n:
             raise SchemaError(f"action weights length {len(weights)} != n={n}")
     if "c" not in fragment:
         raise SchemaError("explicit action fragment needs the exponent c")
-    return ScalingAction.dilation(weights, float(fragment["c"]),
-                                  float(fragment.get("b", default_b)))
+    return ScalingAction.dilation(weights, _number(fragment["c"], "action c"),
+                                  _number(fragment.get("b", default_b), "action b"))
 
 
 def make_system(spec_json: dict, *, samples: int = 32,
@@ -283,63 +291,66 @@ def make_system(spec_json: dict, *, samples: int = 32,
 
     Schema: {"type": "nbody" | "homogeneous" | "anisotropic-kepler" |
     "damped-oscillator", "masses": [...], "dim": int, "alpha": real?,
-    "mu": real?, "b": real?, "action": {...}?, "z0": [...]?}.  The pair is
-    verified at tolerance 1e-6; a failure is returned in the report, not
-    raised.
+    "mu": real?, "b": real?, "action": {...}?, "z0": [...]?}.  A value of
+    the wrong type, a non-finite number or a non-integral count raises
+    SchemaError.  Without an "action" the pair is the uniform dilation with
+    b = alpha and c = (2 + alpha) / 2.  The pair is verified at tolerance
+    1e-6; a failure is returned in the report, not raised.
     """
     if not isinstance(spec_json, dict) or "type" not in spec_json:
         raise SchemaError("system spec must be a dict with a 'type' key")
     kind = spec_json["type"]
+    z0 = spec_json.get("z0")
+    if z0 is not None:
+        z0 = _numbers(z0, "z0")
 
     if kind == "damped-oscillator":
         if "b" not in spec_json:
             raise SchemaError("damped-oscillator spec needs the friction 'b'")
-        system = damped_oscillator(float(spec_json["b"]))
-        if spec_json.get("z0") is not None:
-            system = ConformalSystem(field=system.field, c=system.c,
-                                     z0=np.asarray(spec_json["z0"], float),
+        system = damped_oscillator(_number(spec_json["b"], "b"))
+        if z0 is not None:
+            system = ConformalSystem(field=system.field, c=system.c, z0=z0,
                                      name=system.name)
         return BuiltSystem(system=system, action=None, symmetry_report=None)
 
     if kind == "nbody":
         if "masses" not in spec_json:
             raise SchemaError("nbody spec needs 'masses'")
-        spec = NBodySpec(masses=tuple(spec_json["masses"]),
-                         dim=int(spec_json.get("dim", 3)))
-        system = nbody_system(
-            spec, collision_threshold=float(spec_json.get(
-                "collision_threshold", 1e-6)))
+        spec = NBodySpec(masses=spec_json["masses"], dim=spec_json.get("dim", 3))
+        system = nbody_system(spec, collision_threshold=_number(
+            spec_json.get("collision_threshold", 1e-6), "collision_threshold"))
         probe = _nbody_probe(spec)
         alpha = -1.0
     elif kind == "anisotropic-kepler":
-        system = anisotropic_kepler_system(float(spec_json.get("mu", 2.0)))
+        system = anisotropic_kepler_system(_number(spec_json.get("mu", 2.0), "mu"))
         probe = None
         alpha = -1.0
     elif kind == "homogeneous":
         for key in ("alpha", "n"):
             if key not in spec_json:
                 raise SchemaError(f"homogeneous spec needs '{key}'")
-        alpha = float(spec_json["alpha"])
+        alpha = _number(spec_json["alpha"], "alpha")
+        n = _count(spec_json["n"], "n")
+        mass_matrix = spec_json.get("mass_matrix")
+        if mass_matrix is not None:
+            mass_matrix = _numbers(mass_matrix, "mass_matrix")
         if "potential" in spec_json:  # Python API path: callables supplied directly
             system = homogeneous_system(
-                spec_json["potential"], spec_json["gradient"],
-                int(spec_json["n"]), alpha,
-                mass_matrix=spec_json.get("mass_matrix"))
+                spec_json["potential"], spec_json["gradient"], n, alpha,
+                mass_matrix=mass_matrix)
         else:
-            system = power_law_system(int(spec_json["n"]), alpha,
-                                      k=float(spec_json.get("k", -1.0)),
-                                      mass_matrix=spec_json.get("mass_matrix"))
+            system = power_law_system(n, alpha,
+                                      k=_number(spec_json.get("k", -1.0), "k"),
+                                      mass_matrix=mass_matrix)
         probe = None
     else:
         raise SchemaError(f"unknown system type {kind!r}")
 
     if spec_json.get("action") is not None:
         action = _action_from_json(spec_json["action"], system.n, default_b=alpha)
-    else:
-        trial = ScalingAction.uniform_dilation(system.n, 0.0, alpha)
-        a = measure_kinetic_weight(trial, system.mass_matrix, seed=seed)
+    else:  # the uniform dilation scales every constant kinetic metric by g^2
         action = ScalingAction.uniform_dilation(
-            system.n, lift_exponent(a, alpha), alpha)
+            system.n, lift_exponent(2.0, alpha), alpha)
 
     report = verify_scaling_symmetry(action, system.hamiltonian_field(),
                                      samples=samples, seed=seed, probe=probe)

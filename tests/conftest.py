@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from scalesym import (
     NBodySpec,
     PhasePoint,
     ScalingAction,
+    TangentVector,
     lagrange_triangle,
     nbody_system,
 )
@@ -21,20 +24,20 @@ def random_phase_point(rng, n: int, scale: float = 1.0) -> PhasePoint:
 
 @pytest.fixture
 def phase_point_count(monkeypatch):
-    """count(f) runs f() and returns how many PhasePoints it validated."""
-    calls = []
-    validate = PhasePoint.__post_init__
+    """count(f, cls=PhasePoint) runs f() and returns how many objects of cls,
+    PhasePoint or TangentVector, it validated."""
+    calls = collections.Counter()
+    for cls in (PhasePoint, TangentVector):
+        def counted(self, cls=cls, validate=cls.__post_init__):
+            calls[cls] += 1
+            validate(self)
 
-    def counted(self):
-        calls.append(1)
-        validate(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
 
-    monkeypatch.setattr(PhasePoint, "__post_init__", counted)
-
-    def count(f) -> int:
+    def count(f, cls=PhasePoint) -> int:
         calls.clear()
         f()
-        return len(calls)
+        return calls[cls]
 
     return count
 

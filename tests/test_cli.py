@@ -339,6 +339,40 @@ def test_bad_numbers_exit_1_with_one_error_line(workdir, monkeypatch, capsys, ar
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
+NBODY = {"type": "nbody", "masses": [1.0, 1.0], "dim": 2}
+POWER_LAW = {"type": "homogeneous", "alpha": -1.0, "n": 2}
+BAD_SPECS = {
+    "mass-not-a-number": NBODY | {"masses": [1.0, "x"]},
+    "mass-nan": NBODY | {"masses": [1.0, float("nan")]},
+    "mass-infinite": NBODY | {"masses": [1.0, float("inf")]},
+    "masses-not-a-list": NBODY | {"masses": 5},
+    "no-masses": NBODY | {"masses": []},
+    "one-mass": NBODY | {"masses": [1.0]},
+    "dim-not-a-number": NBODY | {"dim": "x"},
+    "dim-not-an-integer": NBODY | {"dim": 2.7},
+    "collision-threshold-not-a-number": NBODY | {"collision_threshold": "x"},
+    "action-not-a-dict": NBODY | {"action": 5},
+    "action-c-not-a-number": NBODY | {"action": {"c": "x"}},
+    "action-weights-not-numbers": NBODY | {"action": {"weights": "x", "c": 0.5}},
+    "friction-not-a-number": {"type": "damped-oscillator", "b": "x"},
+    "z0-not-numbers": {"type": "damped-oscillator", "b": 0.1, "z0": "x"},
+    "mu-not-a-number": {"type": "anisotropic-kepler", "mu": "x"},
+    "alpha-not-a-number": POWER_LAW | {"alpha": "x"},
+    "n-not-a-number": POWER_LAW | {"n": "x"},
+    "mass-matrix-not-symmetric": POWER_LAW | {"mass_matrix": [[1, 2], [0, 1]]},
+    "mass-matrix-wrong-shape": POWER_LAW | {"n": 3, "mass_matrix": [[1, 0], [0, 1]]},
+}
+
+
+@pytest.mark.parametrize("spec", list(BAD_SPECS.values()), ids=list(BAD_SPECS))
+def test_bad_spec_values_exit_1_with_one_error_line(workdir, capsys, spec):
+    (workdir / "bad-spec.json").write_text(json.dumps(spec))
+    assert main(["verify", "--system", str(workdir / "bad-spec.json"),
+                 "--checks", "symplectic", "--out", str(workdir / "bad.json")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 def test_homothetic_past_blowup_window(workdir):
     doc = _two_body_re_doc()
     doc["xi"] = -2.0

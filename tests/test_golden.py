@@ -6,14 +6,18 @@ single-body and conformal (c != 0) fields, plus two ``solve-cc`` runs from
 random starts of 10 equal masses in 3-D: seed 1 certifies, seed 13 exits 2
 with "damping overflow", and its diagnostics are pinned too, plus
 ``verify --checks flow,noether`` on the 3-body spec, whose two flow-level
-checks read one trajectory in the order requested.  Identical
-(config, seed) pairs must keep producing byte-identical artifacts across
-refactors.  The first four digests were recorded from the build before the
-field contract moved from PhasePoint arguments to (q, p) arrays, the next
-two from the build before flow_jacobian integrated its probes as one
-stack, the next two from the build before the solver's Jacobian evaluated
-its probes as one stack, and the last from the build before ``verify``
-integrated its start once for both checks; a change that alters any artifact must say so and
+checks read one trajectory in the order requested, plus the four symmetry
+checks of ``verify`` on a 3-body spec whose action has weight 2 and on a
+power law with a non-diagonal mass matrix and the derived exponent
+c = (2 + alpha)/2.  Identical (config, seed) pairs must keep producing
+byte-identical artifacts across refactors.  The first four digests were
+recorded from the build before the field contract moved from PhasePoint
+arguments to (q, p) arrays, the next two from the build before
+flow_jacobian integrated its probes as one stack, the next two from the
+build before the solver's Jacobian evaluated its probes as one stack, the
+next from the build before ``verify`` integrated its start once for both
+checks, and the last two from the build before the verifier's probe loop
+moved onto bare arrays; a change that alters any artifact must say so and
 re-record them.  Paths are relative to the working directory because the
 artifacts embed them.
 """
@@ -30,7 +34,12 @@ SPECS = {
     "kepler.json": {"type": "anisotropic-kepler", "mu": 2.0},
     "oscillator.json": {"type": "damped-oscillator", "b": 0.3},
     "equal10.json": {"type": "nbody", "masses": [1.0] * 10, "dim": 3},
+    "weighted.json": {"type": "nbody", "masses": [1, 2, 0.5], "dim": 2,
+                      "action": {"weights": 2, "c": 1.0, "b": -2.0}},
+    "homogeneous.json": {"type": "homogeneous", "alpha": -1.5, "n": 3, "k": -2,
+                         "mass_matrix": [[2, .3, 0], [.3, 1, .1], [0, .1, 1.5]]},
 }
+SYMMETRY_CHECKS = "symplectic,invariance,momentum,scaling-function"
 # A Lagrange triangle for masses (1, 1, 2), perturbed by a few percent.
 INIT_Q = "-0.52,-0.21,0.47,-0.23,0.02,0.22"
 # A start near the triangle with a small rotating momentum.
@@ -47,6 +56,8 @@ GOLDEN = {
     "solve-cc-random-seed1": "58daf8359680c5a1d49e3f007a2daf19f3ed5f8553248f4c2e09bebc4901e3a5",
     "solve-cc-random-seed13": "0c5df59b714a40f334bb7fdb9eea0d73eaa6757cc4d55cd70337c589d5171699",
     "verify-flow-noether": "9fe0974679dd6e0d442cb5e19626af7307a4cb73ac535d33cfc3864a42008e81",
+    "verify-weighted": "b3df08dbec4b3978897fe13415d5ca974c84d4a0148c7408a4946d6ba44da7c3",
+    "verify-homogeneous": "60964f6770a7cffdf5c086e7f804bbdb633533b56a2f49a2fca076b1b775fc03",
 }
 
 RUNS = {
@@ -68,6 +79,10 @@ RUNS = {
                                "--out", "s13.json"],
     "verify-flow-noether": ["verify", "--system", "spec.json", "--checks", "flow,noether",
                             "--t-final", "0.02", "--out", "verify-reverse.json"],
+    "verify-weighted": ["verify", "--system", "weighted.json", "--checks",
+                        SYMMETRY_CHECKS, "--out", "verify-weighted.json"],
+    "verify-homogeneous": ["verify", "--system", "homogeneous.json", "--checks",
+                           SYMMETRY_CHECKS, "--out", "verify-homogeneous.json"],
 }
 # Every run exits 0 except this one, whose solver fails.
 EXIT_CODES = {"solve-cc-random-seed13": 2}

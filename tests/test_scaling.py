@@ -281,6 +281,26 @@ def test_custom_action_validation_rejects_bad_generator():
                              lambda q: 2.0 * good.xi_q(q), good.dxi_q)
 
 
+def test_custom_action_validation_rejects_bad_generator_jacobian():
+    # the true D xi_Q of the quadratic action is [[1, 0], [2 BETA q_1, 1]]
+    good = quadratic_action()
+    with pytest.raises(ValueError, match="^dxi_q"):
+        ScalingAction.custom(2, 0.5, 0.0, good.psi, good.dpsi, good.xi_q,
+                             lambda q: np.eye(2))
+
+
+@pytest.mark.parametrize("part", ["dpsi", "xi_q", "dxi_q"])
+def test_custom_action_validation_rejects_a_nan_derivative(part):
+    good = quadratic_action()
+    parts = {"psi": good.psi, "dpsi": good.dpsi, "xi_q": good.xi_q,
+             "dxi_q": good.dxi_q}
+    parts[part] = {"dpsi": lambda g, q: np.full((2, 2), np.nan),
+                   "xi_q": lambda q: np.full(2, np.nan),
+                   "dxi_q": lambda q: np.full((2, 2), np.nan)}[part]
+    with pytest.raises(ValueError, match=f"^{part}"):
+        ScalingAction.custom(2, 0.5, 0.0, **parts)
+
+
 def test_custom_action_validation_rejects_group_law_violation():
     def psi(g, q):
         return np.asarray(q, float) + (g - 1.0)  # translation, not an R+ action
@@ -323,6 +343,38 @@ def test_verifier_fails_a_nan_residual():
     assert not report.check("invariance").passed
     assert math.isnan(report.check("invariance").max_residual)
     assert math.isnan(report.max_residual)
+
+
+@pytest.mark.parametrize("action", [ScalingAction.dilation([1.0, 2.0], c=2.0, b=2.0),
+                                    quadratic_action(c=2.0, b=2.0)],
+                         ids=["dilation", "custom"])
+def test_verifier_validates_only_its_probes(phase_point_count, action):
+    # the lifted probe, the fields of J and the generator stay bare arrays
+    H = ScalarField(value=lambda q, p: 0.5 * float(p @ p + q @ q),
+                    grad=lambda q, p: (q.copy(), p.copy()))
+
+    def run():
+        verify_scaling_symmetry(action, H, samples=8, seed=2)
+
+    assert phase_point_count(run) == 8
+    assert phase_point_count(run, TangentVector) == 0
+
+
+def test_verifier_reports_a_nan_generator_jacobian_as_a_failed_check():
+    # dxi_q is NaN only past |q_1| = 1.1, beyond the probes of custom's own
+    # cross-checks but inside the verifier's [-1.25, 1.25]
+    good = quadratic_action(c=0.5, b=0.5)
+
+    def dxi_q(q):
+        return good.dxi_q(q) if abs(q[0]) <= 1.1 else np.full((2, 2), np.nan)
+
+    action = ScalingAction.custom(2, 0.5, 0.5, good.psi, good.dpsi, good.xi_q, dxi_q)
+    report = verify_scaling_symmetry(action, momentum_field(good), samples=32, seed=4)
+    assert not report.passed
+    for name in ("momentum-map", "scaling-function"):
+        assert not report.check(name).passed
+        assert math.isnan(report.check(name).max_residual)
+    assert report.check("invariance").passed
 
 
 def test_verifier_does_not_redraw_past_a_fault_in_the_field():

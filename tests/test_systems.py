@@ -11,7 +11,6 @@ from scalesym import (
     NBodySpec,
     PhasePoint,
     SchemaError,
-    ScalingAction,
     central_config_residual,
     damped_oscillator,
     euler_collinear_oracle,
@@ -19,7 +18,6 @@ from scalesym import (
     integrate,
     lagrange_triangle,
     make_system,
-    measure_kinetic_weight,
     min_pairwise_distance,
     nbody_potential_and_gradient,
     nbody_system,
@@ -200,15 +198,15 @@ def test_make_system_schema_errors(bad):
         make_system(bad)
 
 
-def test_measure_kinetic_weight_uniform_dilation():
-    action = ScalingAction.uniform_dilation(4, 0.0, -1.0)
-    assert measure_kinetic_weight(action, np.diag([1.0, 1.0, 2.0, 2.0])) == 2.0
-
-
-def test_measure_kinetic_weight_rejects_mixed_weights():
-    action = ScalingAction.dilation([1.0, 2.0], c=0.0, b=0.0)
-    with pytest.raises(SchemaError):
-        measure_kinetic_weight(action, np.eye(2))
+@pytest.mark.parametrize("alpha", [-1.5, -1.0, 1.0, 3.0])
+def test_make_system_derives_c_from_kinetic_weight_two(alpha):
+    # a constant metric, however coupled, scales by g^2 under the uniform
+    # dilation, so c = (2 + alpha) / 2 and the derived pair certifies
+    built = make_system({"type": "homogeneous", "alpha": alpha, "n": 3,
+                         "mass_matrix": [[2, .3, 0], [.3, 1, .1], [0, .1, 1.5]]})
+    assert built.action.c == (2.0 + alpha) / 2.0
+    assert built.action.b == alpha
+    assert built.symmetry_report.passed
 
 
 # --- anisotropic Kepler ---------------------------------------------------------
