@@ -10,8 +10,11 @@ contract for scripted sweeps:
     4  dynamics guard (collision threshold, blow-up window, non-finite state)
 
 All JSON artifacts embed the resolved configuration, and identical
-(config, seed) pairs produce byte-identical outputs.  Log level comes
-from the SCALESYM_LOG environment variable.
+(config, seed) pairs produce byte-identical outputs.  The scaling-symmetry
+verifier runs only where its verdict is read: once before ``solve-cc``
+solves, and in ``verify`` when ``--checks`` names a symmetry selector;
+``integrate`` and ``homothetic`` accept ``--samples`` but do not read it.
+Log level comes from the SCALESYM_LOG environment variable.
 """
 
 import argparse
@@ -129,8 +132,7 @@ def _resolved_config(args, extra=None) -> dict:
 
 def _build(args) -> tuple[dict, BuiltSystem]:
     spec = _load_json(args.system)
-    built = make_system(spec, samples=args.samples, seed=args.seed)
-    return spec, built
+    return spec, make_system(spec)
 
 
 def _mechanical_or_die(built: BuiltSystem):
@@ -173,11 +175,12 @@ def cmd_solve_cc(args) -> int:
         if not isinstance(spec, dict) or spec.get("type") != "nbody":
             raise SchemaError("--collinear applies to nbody systems")
         spec = dict(spec, dim=1)
-    built = make_system(spec, samples=args.samples, seed=args.seed)
+    built = make_system(spec)
     system, action = _mechanical_or_die(built)
-    if built.symmetry_report is not None and not built.symmetry_report.passed:
+    report = built.verify(args.samples, args.seed)
+    if not report.passed:
         _write_json(args.out, {"error": "scaling-symmetry verification failed",
-                               "report": built.symmetry_report.to_dict(),
+                               "report": report.to_dict(),
                                "system": spec,
                                "config": _resolved_config(args)})
         return EXIT_VERIFICATION
@@ -230,14 +233,16 @@ def cmd_verify(args) -> int:
                               f"{', '.join(CHECK_NAMES)}")
 
     results = []
-    action, report = built.action, built.symmetry_report
+    action = built.action
+    report = (built.verify(args.samples, args.seed)
+              if any(name in _SYMMETRY_SELECTORS for name in checks) else None)
     # One trajectory serves both flow-level checks; a conformal benchmark
     # declares no action, so it has no Noether check.
     if "flow" in checks or ("noether" in checks and action is not None):
         field, c, flat = _flow_of(built)
         z0 = (_expanding_state(built, args.seed) if flat is None
               else PhasePoint.from_flat(flat))
-        traj = integrate(field, c, z0, args.t_final, args.dt, action=action)
+        traj = integrate(field, c, z0, args.t_final, args.dt)
 
     for name in checks:
         if name in _SYMMETRY_SELECTORS:
@@ -313,7 +318,7 @@ def cmd_homothetic(args) -> int:
     for key in ("q", "xi", "system"):
         if key not in re_doc:
             raise SchemaError(f"relative-equilibrium JSON lacks {key!r}")
-    built = make_system(re_doc["system"], samples=args.samples, seed=args.seed)
+    built = make_system(re_doc["system"])
     system, action = _mechanical_or_die(built)
     # Earn the certificate again; the file's p, flag and residuals are ignored.
     try:
@@ -346,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0,
                        help="seed for all random draws (default 0)")
         p.add_argument("--samples", type=int, default=32,
-                       help="probes for symmetry verification (default 32)")
+                       help="probes for symmetry verification, read by solve-cc "
+                            "and verify (default 32)")
         p.add_argument("--dt", type=float, default=dt_default,
                        help=f"integrator step (default {dt_default})")
         p.add_argument("--t-final", dest="t_final", type=float,

@@ -280,7 +280,7 @@ def verify_homothetic_orbit(H: ScalarField, action: ScalingAction, re,
     # Reject a window that reaches the blow-up time before integrating.
     homothetic_factor(action, re.xi, np.array([0.0, t_final]))
 
-    traj = integrate(H, 0.0, z_e, t_final, dt, action=action)
+    traj = integrate(H, 0.0, z_e, t_final, dt)
     eta = homothetic_factor(action, re.xi, traj.times)
     worst = 0.0
     for k in range(len(traj)):

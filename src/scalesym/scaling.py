@@ -309,8 +309,8 @@ def verify_scaling_symmetry(action: ScalingAction, H: ScalarField,
     its check and is reported as is.  Each probe is validated once, as a
     PhasePoint; the lifted probe, the gradients of J and the generator
     stay bare arrays, so a non-finite one gives its check a NaN residual.
-    Only the finite-difference lift Jacobian still raises NonFiniteValue,
-    where the lift is not finite next to a probe.
+    A lift that is not finite next to a probe has no finite-difference
+    Jacobian, and gives conformality a NaN residual.
     """
     if samples < 1:
         raise SchemaError("samples must be >= 1")
@@ -328,12 +328,15 @@ def verify_scaling_symmetry(action: ScalingAction, H: ScalarField,
 
         q, p = z.q, z.p
 
-        jac = phase_jacobian_fd(action, g, z)
-        lhs = jac.T @ omega @ jac
         scale = g ** action.c
-        residuals["conformality"] = _worst(
-            residuals["conformality"],
-            _rel(float(np.max(np.abs(lhs - scale * omega))), scale))
+        try:
+            jac = phase_jacobian_fd(action, g, z)
+        except NonFiniteValue:
+            defect = float("nan")
+        else:
+            defect = float(np.max(np.abs(jac.T @ omega @ jac - scale * omega)))
+        residuals["conformality"] = _worst(residuals["conformality"],
+                                           _rel(defect, scale))
 
         h0 = H.value(q, p)
         q_g, p_g = _lift(action, g, q, p)

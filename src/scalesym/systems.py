@@ -6,14 +6,16 @@ damped-oscillator benchmark.  ``make_system`` builds a system plus its
 scaling action from a JSON-style dict: for homogeneous potentials under
 the uniform dilation the Hamiltonian weight is b = alpha, the kinetic
 weight is a = 2 (every constant metric scales by g^2), and the lift
-exponent follows as c = (a + b) / 2 = (2 + alpha) / 2; the pair is then
-run through the scaling-symmetry verifier, whose report travels with the
-result instead of raising.
+exponent follows as c = (a + b) / 2 = (2 + alpha) / 2.  Building does not
+certify: ``BuiltSystem.verify`` runs the scaling-symmetry verifier on the
+pair and returns its report instead of raising, so only a caller that
+reads the verdict pays for it.
 """
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -21,7 +23,8 @@ from .equilibria import SimpleMechanicalSystem, central_config_residual, \
     xi_squared_from_config
 from .errors import CollisionDetected, DimensionMismatch, SchemaError
 from .phase import PhasePoint, ScalarField, _map_rows
-from .scaling import ScalingAction, lift_exponent, verify_scaling_symmetry
+from .scaling import ScalingAction, SymmetryReport, lift_exponent, \
+    verify_scaling_symmetry
 
 
 def _numbers(value, name: str) -> np.ndarray:
@@ -104,11 +107,21 @@ class ConformalSystem:
 
 @dataclass(frozen=True)
 class BuiltSystem:
-    """make_system output: the system, its action, and the verifier's report."""
+    """make_system output: the system, its action, and the sampler that
+    draws the verifier's probes (None: the verifier's default probes)."""
 
     system: object
     action: ScalingAction | None
-    symmetry_report: object | None
+    probe: Callable | None
+
+    def verify(self, samples: int = 32, seed: int = 0) -> SymmetryReport | None:
+        """Certify (action, H) with ``verify_scaling_symmetry`` at tolerance
+        1e-6; a failure is returned in the report, not raised.  None for a
+        conformal benchmark, which declares no action."""
+        if self.action is None:
+            return None
+        return verify_scaling_symmetry(self.action, self.system.hamiltonian_field(),
+                                       samples=samples, seed=seed, probe=self.probe)
 
 
 def _separations(spec: NBodySpec, q):
@@ -285,17 +298,16 @@ def _action_from_json(fragment: dict, n: int, *, default_b: float) -> ScalingAct
                                   _number(fragment.get("b", default_b), "action b"))
 
 
-def make_system(spec_json: dict, *, samples: int = 32,
-                seed: int = 0) -> BuiltSystem:
-    """Construct (system, action) from a JSON-style dict and verify the pair.
+def make_system(spec_json: dict) -> BuiltSystem:
+    """Construct (system, action) from a JSON-style dict, without verifying
+    the pair (``BuiltSystem.verify`` does that).
 
     Schema: {"type": "nbody" | "homogeneous" | "anisotropic-kepler" |
     "damped-oscillator", "masses": [...], "dim": int, "alpha": real?,
     "mu": real?, "b": real?, "action": {...}?, "z0": [...]?}.  A value of
     the wrong type, a non-finite number or a non-integral count raises
     SchemaError.  Without an "action" the pair is the uniform dilation with
-    b = alpha and c = (2 + alpha) / 2.  The pair is verified at tolerance
-    1e-6; a failure is returned in the report, not raised.
+    b = alpha and c = (2 + alpha) / 2.
     """
     if not isinstance(spec_json, dict) or "type" not in spec_json:
         raise SchemaError("system spec must be a dict with a 'type' key")
@@ -311,7 +323,7 @@ def make_system(spec_json: dict, *, samples: int = 32,
         if z0 is not None:
             system = ConformalSystem(field=system.field, c=system.c, z0=z0,
                                      name=system.name)
-        return BuiltSystem(system=system, action=None, symmetry_report=None)
+        return BuiltSystem(system=system, action=None, probe=None)
 
     if kind == "nbody":
         if "masses" not in spec_json:
@@ -351,10 +363,7 @@ def make_system(spec_json: dict, *, samples: int = 32,
     else:  # the uniform dilation scales every constant kinetic metric by g^2
         action = ScalingAction.uniform_dilation(
             system.n, lift_exponent(2.0, alpha), alpha)
-
-    report = verify_scaling_symmetry(action, system.hamiltonian_field(),
-                                     samples=samples, seed=seed, probe=probe)
-    return BuiltSystem(system=system, action=action, symmetry_report=report)
+    return BuiltSystem(system=system, action=action, probe=probe)
 
 
 def lagrange_triangle(masses, side: float = 1.0) -> np.ndarray:

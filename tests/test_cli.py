@@ -8,11 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scalesym import FD_STEP, cli, certify_relative_equilibrium, dynamics, \
-    euler_collinear_oracle, integrate, lagrange_triangle, make_system
+from scalesym import FD_STEP, NBodySpec, cli, certify_relative_equilibrium, \
+    dynamics, equilibria, euler_collinear_oracle, integrate, lagrange_triangle, \
+    make_system, nbody_system, solve_central_configuration, systems
 from scalesym.cli import main, read_trajectory_csv, write_trajectory_csv
 from scalesym.systems import damped_oscillator
 from scalesym.phase import PhasePoint
+
+from conftest import kepler_action
 
 
 @pytest.fixture
@@ -182,7 +185,7 @@ def test_verify_collision_in_a_flow_probe_exits_4(workdir, capsys):
     # same window), but a flow-Jacobian probe that moves one body towards
     # the other starts inside it.
     spec = {"type": "nbody", "masses": [1.0, 1.0], "dim": 1}
-    z0 = cli._expanding_state(make_system(spec, samples=1), 0)
+    z0 = cli._expanding_state(make_system(spec), 0)
     threshold = abs(z0.q[0] - z0.q[1]) - FD_STEP / 2
     path = workdir / "near-collision.json"
     path.write_text(json.dumps(dict(spec, collision_threshold=threshold)))
@@ -421,3 +424,76 @@ def test_spec_error_prints_one_stderr_line(workdir):
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+# --- where the scaling-symmetry verifier runs --------------------------------
+
+VERIFIER_CALLS = {
+    "solve-cc": (["solve-cc", "--system", "nbody3.json", "--init",
+                  "triangle-perturbed.csv", "--out", "re.json"], 1),
+    "verify": (["verify", "--system", "nbody3.json", "--t-final", "0.01",
+                "--out", "verify.json"], 1),
+    "verify-noether-flow": (["verify", "--system", "nbody3.json", "--checks",
+                             "noether,flow", "--t-final", "0.01",
+                             "--out", "verify.json"], 0),
+    "integrate": (["integrate", "--system", "nbody3.json", "--init", "z0.csv",
+                   "--t-final", "0.01", "--out", "traj.csv"], 0),
+    "homothetic": (["homothetic", "--re", "two-body-re.json", "--t-final",
+                    "0.01", "--out", "homothetic.json"], 0),
+}
+
+
+@pytest.fixture
+def command_inputs(workdir, monkeypatch):
+    """workdir as the working directory, with a start z0.csv for the planar
+    3-body spec and a certified two-body relative equilibrium."""
+    monkeypatch.chdir(workdir)
+    z0 = np.concatenate((lagrange_triangle([1.0, 1.0, 1.0], 1.0), np.zeros(6)))
+    np.savetxt("z0.csv", z0[None, :], delimiter=",")
+    (workdir / "two-body-re.json").write_text(json.dumps(_two_body_re_doc()))
+    return workdir
+
+
+@pytest.mark.parametrize("argv, calls", list(VERIFIER_CALLS.values()),
+                         ids=list(VERIFIER_CALLS))
+def test_verifier_runs_only_where_its_verdict_is_read(command_inputs, monkeypatch,
+                                                      argv, calls):
+    seen = []
+    verify = systems.verify_scaling_symmetry
+
+    def counting_verify(*args, **kwargs):
+        seen.append(kwargs.get("samples"))
+        return verify(*args, **kwargs)
+
+    for module in (systems, equilibria):
+        monkeypatch.setattr(module, "verify_scaling_symmetry", counting_verify)
+    assert main(argv) == 0
+    assert seen == [32] * calls
+
+
+@pytest.mark.parametrize("name", ["integrate", "homothetic"])
+def test_samples_is_not_read_where_nothing_verifies(command_inputs, name):
+    # zero probes fail the verifier (see BAD_NUMBERS), which these never run
+    argv, _ = VERIFIER_CALLS[name]
+    assert main(argv + ["--samples", "0"]) == 0
+
+
+def test_integrate_and_homothetic_run_on_six_collinear_bodies(workdir):
+    # The verifier's probe sampler draws no separated configuration of six
+    # collinear bodies; neither command reads its verdict, so neither fails.
+    spec = {"type": "nbody", "masses": [1] * 6, "dim": 1}
+    q0 = np.linspace(-2.5, 2.5, 6)
+    (workdir / "line6.json").write_text(json.dumps(dict(
+        spec, z0=list(q0) + [0.0] * 6)))
+    assert main(["integrate", "--system", str(workdir / "line6.json"),
+                 "--t-final", "0.01", "--out", str(workdir / "line6.csv")]) == 0
+    assert len(read_trajectory_csv(workdir / "line6.csv")) == 11
+
+    re = solve_central_configuration(nbody_system(NBodySpec((1.0,) * 6, dim=1)),
+                                     kepler_action(6), q0, verify_symmetry=False)
+    (workdir / "line6-re.json").write_text(json.dumps(
+        {"q": list(re.q), "xi": re.xi, "system": spec}))
+    out = workdir / "line6-homothetic.json"
+    assert main(["homothetic", "--re", str(workdir / "line6-re.json"),
+                 "--t-final", "0.1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["homothetic_deviation"] <= 1e-6

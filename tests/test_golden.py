@@ -9,15 +9,17 @@ with "damping overflow", and its diagnostics are pinned too, plus
 checks read one trajectory in the order requested, plus the four symmetry
 checks of ``verify`` on a 3-body spec whose action has weight 2 and on a
 power law with a non-diagonal mass matrix and the derived exponent
-c = (2 + alpha)/2.  Identical (config, seed) pairs must keep producing
+c = (2 + alpha)/2, plus ``verify --checks flow,noether`` on that weight-2
+spec, whose Noether drift reads a J that is not p . q.  Identical (config, seed) pairs must keep producing
 byte-identical artifacts across refactors.  The first four digests were
 recorded from the build before the field contract moved from PhasePoint
 arguments to (q, p) arrays, the next two from the build before
 flow_jacobian integrated its probes as one stack, the next two from the
 build before the solver's Jacobian evaluated its probes as one stack, the
 next from the build before ``verify`` integrated its start once for both
-checks, and the last two from the build before the verifier's probe loop
-moved onto bare arrays; a change that alters any artifact must say so and
+checks, the next two from the build before the verifier's probe loop
+moved onto bare arrays, and the last from the build before ``make_system``
+stopped running the verifier; a change that alters any artifact must say so and
 re-record them.  Paths are relative to the working directory because the
 artifacts embed them.
 """
@@ -58,6 +60,7 @@ GOLDEN = {
     "verify-flow-noether": "9fe0974679dd6e0d442cb5e19626af7307a4cb73ac535d33cfc3864a42008e81",
     "verify-weighted": "b3df08dbec4b3978897fe13415d5ca974c84d4a0148c7408a4946d6ba44da7c3",
     "verify-homogeneous": "60964f6770a7cffdf5c086e7f804bbdb633533b56a2f49a2fca076b1b775fc03",
+    "verify-weighted-flow-noether": "62137a4425223e2f4a5ef1ba7fe96f4d31d6b1835c238fd3bc9f386f1105ea1c",
 }
 
 RUNS = {
@@ -83,6 +86,9 @@ RUNS = {
                         SYMMETRY_CHECKS, "--out", "verify-weighted.json"],
     "verify-homogeneous": ["verify", "--system", "homogeneous.json", "--checks",
                            SYMMETRY_CHECKS, "--out", "verify-homogeneous.json"],
+    "verify-weighted-flow-noether": ["verify", "--system", "weighted.json", "--checks",
+                                     "flow,noether", "--t-final", "0.02",
+                                     "--out", "verify-weighted-flow.json"],
 }
 # Every run exits 0 except this one, whose solver fails.
 EXIT_CODES = {"solve-cc-random-seed13": 2}

@@ -377,6 +377,22 @@ def test_verifier_reports_a_nan_generator_jacobian_as_a_failed_check():
     assert report.check("invariance").passed
 
 
+def test_verifier_reports_a_non_finite_lift_as_a_failed_check():
+    # dpsi is NaN only past |q_1| = 1.1, beyond the probes of custom's own
+    # cross-checks but inside the verifier's [-1.25, 1.25], so the lift has
+    # no finite-difference Jacobian next to some probes
+    good = quadratic_action(c=0.5, b=0.5)
+
+    def dpsi(g, q):
+        return good.dpsi(g, q) if abs(q[0]) <= 1.1 else np.full((2, 2), np.nan)
+
+    action = ScalingAction.custom(2, 0.5, 0.5, good.psi, dpsi, good.xi_q, good.dxi_q)
+    report = verify_scaling_symmetry(action, momentum_field(good), samples=32, seed=4)
+    assert not report.passed
+    assert not report.check("conformality").passed
+    assert math.isnan(report.check("conformality").max_residual)
+
+
 def test_verifier_does_not_redraw_past_a_fault_in_the_field():
     # Only a singular or failing draw is redrawn; a TypeError in H is a bug
     # in H and must surface, not turn into "could not draw a probe".

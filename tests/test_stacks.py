@@ -86,8 +86,7 @@ def test_homogeneous_field_with_full_mass_matrix_stacks(data, n):
     built = make_system({"type": "homogeneous", "alpha": -1.0, "n": n,
                          "potential": lambda q: -1.0 / np.sqrt(q @ q),
                          "gradient": lambda q: q * (q @ q) ** -1.5,
-                         "mass_matrix": a @ a.T + n * np.eye(n) + 0.5 * (1 - np.eye(n))},
-                        samples=2)
+                         "mass_matrix": a @ a.T + n * np.eye(n) + 0.5 * (1 - np.eye(n))})
     assert built.system._mass_diagonal is None
     Q, P = data.draw(_stack(n, elements=_nonzero))
     assert_stack_matches_rows(built.system.hamiltonian_field(), Q, P)

@@ -159,28 +159,28 @@ def test_make_system_nbody_gets_kepler_exponents():
     built = make_system({"type": "nbody", "masses": [1, 1, 1], "dim": 3})
     assert built.action.c == pytest.approx(0.5)
     assert built.action.b == pytest.approx(-1.0)
-    assert built.symmetry_report.passed
+    assert built.verify().passed
 
 
 def test_make_system_degree_minus_two_is_symplectic():
     built = make_system({"type": "homogeneous", "alpha": -2, "n": 2})
     assert built.action.c == pytest.approx(0.0)
     assert built.action.b == pytest.approx(-2.0)
-    assert built.symmetry_report.passed
+    assert built.verify().passed
 
 
 def test_make_system_damped_oscillator():
     built = make_system({"type": "damped-oscillator", "b": 0.1})
     assert isinstance(built.system, ConformalSystem)
     assert built.system.c == pytest.approx(-0.1)
-    assert built.action is None and built.symmetry_report is None
+    assert built.action is None and built.verify() is None
 
 
 def test_make_system_reports_wrong_exponent_without_raising():
     built = make_system({"type": "nbody", "masses": [1, 1], "dim": 2,
                          "action": {"kind": "dilation", "c": 1.0, "b": -1.0}})
-    assert not built.symmetry_report.passed
-    assert built.symmetry_report.check("invariance").max_residual > 0.1
+    assert not built.verify().passed
+    assert built.verify().check("invariance").max_residual > 0.1
 
 
 @pytest.mark.parametrize("bad", [
@@ -206,7 +206,7 @@ def test_make_system_derives_c_from_kinetic_weight_two(alpha):
                          "mass_matrix": [[2, .3, 0], [.3, 1, .1], [0, .1, 1.5]]})
     assert built.action.c == (2.0 + alpha) / 2.0
     assert built.action.b == alpha
-    assert built.symmetry_report.passed
+    assert built.verify().passed
 
 
 # --- anisotropic Kepler ---------------------------------------------------------
@@ -214,7 +214,7 @@ def test_make_system_derives_c_from_kinetic_weight_two(alpha):
 def test_anisotropic_kepler_is_a_scaling_symmetry():
     built = make_system({"type": "anisotropic-kepler", "mu": 2.0})
     assert built.action.c == pytest.approx(0.5)
-    assert built.symmetry_report.passed
+    assert built.verify().passed
 
 
 def test_anisotropic_kepler_axis_central_configuration():
@@ -272,10 +272,10 @@ def test_damped_oscillator_definition():
 
 
 def test_shipped_systems_pass_verification():
-    # every shipped mechanical system verifies at construction
+    # every shipped mechanical system verifies
     for spec in ({"type": "nbody", "masses": [1, 1], "dim": 2},
                  {"type": "nbody", "masses": [1.0, 2.0, 3.0], "dim": 3},
                  {"type": "homogeneous", "alpha": -1, "n": 3},
                  {"type": "anisotropic-kepler", "mu": 3.0}):
         built = make_system(spec)
-        assert built.symmetry_report.passed, spec
+        assert built.verify().passed, spec
