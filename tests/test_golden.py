@@ -10,18 +10,18 @@ checks read one trajectory in the order requested, plus the four symmetry
 checks of ``verify`` on a 3-body spec whose action has weight 2 and on a
 power law with a non-diagonal mass matrix and the derived exponent
 c = (2 + alpha)/2, plus ``verify --checks flow,noether`` on that weight-2
-spec, whose Noether drift reads a J that is not p . q.  Identical (config, seed) pairs must keep producing
-byte-identical artifacts across refactors.  The first four digests were
-recorded from the build before the field contract moved from PhasePoint
-arguments to (q, p) arrays, the next two from the build before
-flow_jacobian integrated its probes as one stack, the next two from the
-build before the solver's Jacobian evaluated its probes as one stack, the
-next from the build before ``verify`` integrated its start once for both
-checks, the next two from the build before the verifier's probe loop
-moved onto bare arrays, and the last from the build before ``make_system``
-stopped running the verifier; a change that alters any artifact must say so and
-re-record them.  Paths are relative to the working directory because the
-artifacts embed them.
+spec, whose Noether drift reads a J that is not p . q.  Identical (config,
+seed) pairs must keep producing byte-identical artifacts across
+refactors.  The first four digests were recorded from the build before
+the field contract moved from PhasePoint arguments to (q, p) arrays, the
+next two from the build before flow_jacobian integrated its probes as one
+stack, the next two from the build before the solver's Jacobian evaluated
+its probes as one stack, the next from the build before ``verify``
+integrated its start once for both checks, the next two from the build
+before the verifier's probe loop moved onto bare arrays, and the last
+from the build before ``make_system`` stopped running the verifier; a
+change that alters any artifact must say so and re-record them.  Paths
+are relative to the working directory because the artifacts embed them.
 """
 
 import hashlib
