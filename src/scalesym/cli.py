@@ -101,13 +101,17 @@ def write_trajectory_csv(path: str, traj: Trajectory):
     n = traj.n
     header = (["t"] + [f"q_{i + 1}" for i in range(n)]
               + [f"p_{i + 1}" for i in range(n)] + ["H", "J", "K", "int_theta"])
+    columns = (traj.times, traj.qs, traj.ps, traj.energy, traj.momentum,
+               traj.kinetic, traj.int_theta)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(len(traj)):
-            row = ([traj.times[k]] + list(traj.qs[k]) + list(traj.ps[k])
-                   + [traj.energy[k], traj.momentum[k], traj.kinetic[k],
-                      traj.int_theta[k]])
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        # Tables of 128 rows and tolist() one row at a time, so neither a
+        # copy of the whole trajectory nor all its floats as Python objects
+        # are held at once.  repr of a Python float is the shortest string
+        # that reads back to the same double.
+        for k in range(0, len(traj), 128):
+            table = np.column_stack([column[k:k + 128] for column in columns])
+            fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in table)
 
 
 def read_trajectory_csv(path: str) -> Trajectory:

@@ -24,6 +24,14 @@ call per RK4 stage for the whole stack.
 Fields compute each row as if it came alone (the ``ScalarField``
 contract), so the stacked flow equals the row-by-row one bit for bit.
 
+Each RK4 step evaluates the field four times: once at its starting node
+and once at each of its three later stages, which call ``F.grad``.  Where
+a node is recorded (``integrate``), the node's one call is
+``F.value_and_grad``, so the trajectory's H costs no extra evaluation, and
+the final node adds one more: 4m + 1 calls for m steps.  Unrecorded
+(``flow_jacobian``), nodes call ``F.grad`` and the final node is skipped:
+4m calls.  For the n-body Hamiltonian each call is one kernel call.
+
 Each trajectory carries per-step diagnostics: the conformal Hamiltonian H,
 the dilation momentum J, K = theta(X)/2 (the kinetic energy for simple
 mechanical systems), and the running trapezoid quadrature of theta(X),
@@ -39,7 +47,8 @@ import numpy as np
 
 from .errors import BlowupWindow, DimensionMismatch, NonFiniteValue, SchemaError, \
     UncertifiedInput
-from .phase import PhasePoint, ScalarField, _fd_stack_jacobian, omega_matrix
+from .phase import PhasePoint, ScalarField, _dot_rows, _fd_stack_jacobian, \
+    omega_matrix
 from .scaling import ScalingAction, _lift, _momentum
 
 
@@ -118,16 +127,22 @@ def _step_count(t_final: float, dt: float) -> int:
 def _rk4(F: ScalarField, c: float, y: np.ndarray, m: int, dt: float,
          node: Callable | None = None) -> np.ndarray:
     """m RK4 steps of dt from the flat state y = (q, p), or from a (B, 2n)
-    stack of them, returning the last one.  Each node is checked for
-    finiteness, then seen by node(k, y, X(y)); without a node callback the
-    field is not evaluated at the final node, which no step needs.  F.grad
-    must return arrays shaped like its arguments; a field written for one
-    state that drops the stack axis raises DimensionMismatch."""
+    stack of them, returning the last one.
+
+    Each node is checked for finiteness.  With a node callback, the node's
+    one evaluation is ``F.value_and_grad``, and node(k, y, X(y), F(y)) sees
+    it: m + 1 node calls and 3m stage calls of ``F.grad``, 4m + 1 in all.
+    Without one, nodes call ``F.grad`` and the final node, which no step
+    needs, is not evaluated: 4m calls.  F.grad must return arrays shaped
+    like its arguments; a field written for one state that drops the stack
+    axis raises DimensionMismatch."""
     n = y.shape[-1] // 2
 
-    def X(y: np.ndarray) -> np.ndarray:
+    def X(y: np.ndarray, grad=None) -> np.ndarray:  # grad: F's at y, if known
         q, p = y[..., :n], y[..., n:]
-        gq, gp = (np.asarray(g, float) for g in F.grad(q, p))
+        if grad is None:
+            grad = F.grad(q, p)
+        gq, gp = (np.asarray(g, float) for g in grad)
         if gq.shape != q.shape or gp.shape != p.shape:
             raise DimensionMismatch(
                 f"grad returned shapes {gq.shape}, {gp.shape} for states of "
@@ -142,11 +157,12 @@ def _rk4(F: ScalarField, c: float, y: np.ndarray, m: int, dt: float,
             y = y + (dt / 6.0) * (ydot + 2 * k2 + 2 * k3 + k4)
         if not np.isfinite(y).all():
             raise NonFiniteValue(f"state became non-finite at t={k * dt}")
-        if node is None and k == m:
-            break
-        ydot = X(y)
         if node is not None:
-            node(k, y, ydot)
+            value, grad = F.value_and_grad(y[..., :n], y[..., n:])
+            ydot = X(y, grad)
+            node(k, y, ydot, value)
+        elif k < m:
+            ydot = X(y)
     return y
 
 
@@ -154,8 +170,10 @@ def integrate(F: ScalarField, c: float, z0: PhasePoint, t_final: float,
               dt: float, *, action: ScalingAction | None = None) -> Trajectory:
     """Integrate the conformal vector field of F with classical RK4.
 
-    F's gradient, evaluated at every RK4 stage, may raise to abort the run
-    (the n-body kernel raises CollisionDetected inside its threshold).
+    Each node's H and X come from one ``F.value_and_grad`` call, each later
+    stage's X from ``F.grad``; either may raise to abort the run (the
+    n-body kernel raises CollisionDetected inside its threshold).  J is
+    the action's momentum map of each row, or p . q without an action.
     """
     m = _step_count(t_final, dt)
     n = z0.n
@@ -163,18 +181,17 @@ def integrate(F: ScalarField, c: float, z0: PhasePoint, t_final: float,
     qs = np.empty((m + 1, n))
     ps = np.empty((m + 1, n))
     energy = np.empty(m + 1)
-    momentum = np.empty(m + 1)
     theta_rate = np.empty(m + 1)
 
-    def record(k: int, y: np.ndarray, ydot: np.ndarray):
+    def record(k: int, y: np.ndarray, ydot: np.ndarray, value: float):
         # theta(X) = p . dF/dp and dq/dt = dF/dp, so reuse the node's X eval.
         q, p = y[:n], y[n:]
         qs[k], ps[k] = q, p
-        energy[k] = F.value(q, p)
-        momentum[k] = _momentum(action, q, p) if action is not None else float(p @ q)
+        energy[k] = value
         theta_rate[k] = float(p @ ydot[:n])
 
     _rk4(F, c, z0.flat(), m, dt, record)
+    momentum = _momentum(action, qs, ps) if action is not None else _dot_rows(ps, qs)
     trapezoids = 0.5 * dt * (theta_rate[:-1] + theta_rate[1:])
     return Trajectory(times=np.arange(m + 1) * dt, qs=qs, ps=ps, energy=energy,
                       momentum=momentum, kinetic=theta_rate / 2.0,
@@ -241,7 +258,7 @@ def noether_series(action: ScalingAction, traj: Trajectory) -> NoetherSeries:
     """The conserved combination F = J + b H t - c int theta(X_H) dt along a
     Hamiltonian (c = 0) trajectory, and its max drift from F(0).
     """
-    J = np.array([_momentum(action, q, p) for q, p in zip(traj.qs, traj.ps)])
+    J = _momentum(action, traj.qs, traj.ps)
     F = J + action.b * traj.energy * traj.times - action.c * traj.int_theta
     return NoetherSeries(values=F, drift=float(np.max(np.abs(F - F[0]))))
 
@@ -283,9 +300,14 @@ def verify_homothetic_orbit(H: ScalarField, action: ScalingAction, re,
     traj = integrate(H, 0.0, z_e, t_final, dt)
     eta = homothetic_factor(action, re.xi, traj.times)
     worst = 0.0
-    for k in range(len(traj)):
-        ref = np.concatenate(_lift(action, float(eta[k]), z_e.q, z_e.p))
-        num = np.concatenate((traj.qs[k], traj.ps[k]))
-        dev = float(np.linalg.norm(num - ref)) / max(1.0, float(np.linalg.norm(ref)))
-        worst = max(worst, dev)
+    # Blocks of 128 rows: a few (128, 2n) temporaries, not whole-trajectory ones.
+    for k in range(0, len(traj), 128):
+        rows = slice(k, k + 128)
+        ref = np.concatenate(_lift(action, eta[rows, None], z_e.q, z_e.p), axis=-1)
+        diff = np.concatenate((traj.qs[rows], traj.ps[rows]), axis=-1)
+        diff -= ref
+        # Row norms as np.linalg.norm takes one vector's: sqrt of its BLAS dot.
+        scale = np.maximum(1.0, np.sqrt(_dot_rows(ref, ref)))
+        dev = np.sqrt(_dot_rows(diff, diff)) / scale
+        worst = max(worst, float(np.max(dev)))
     return FlowReport(t=t_final, dt=dt, homothetic_deviation=worst)

@@ -39,19 +39,24 @@ from .scaling import (
 class SimpleMechanicalSystem:
     """Constant kinetic metric plus potential with analytic gradient.
 
-    ``alpha`` declares the homogeneity degree of U under uniform dilation
-    when known.  ``masses``/``dim`` are set for point-particle systems
-    whose configuration is bodies x dim flattened; they switch on the
-    center-of-mass constraint in the solver.
+    The potential comes as ``potential`` and ``potential_gradient``, or as
+    one ``potential_and_gradient(q)`` returning (U, grad U) from a single
+    evaluation; the two separate callables then default to its parts, and
+    ``hamiltonian_field`` evaluates it once where both H and its gradient
+    are read.  ``alpha`` declares the homogeneity degree of U under uniform
+    dilation when known.  ``masses``/``dim`` are set for point-particle
+    systems whose configuration is bodies x dim flattened; they switch on
+    the center-of-mass constraint in the solver.
     """
 
     mass_matrix: np.ndarray
-    potential: Callable[[np.ndarray], float]
-    potential_gradient: Callable[[np.ndarray], np.ndarray]
+    potential: Callable[[np.ndarray], float] | None = None
+    potential_gradient: Callable[[np.ndarray], np.ndarray] | None = None
     alpha: float | None = None
     masses: np.ndarray | None = None
     dim: int | None = None
     name: str = "mechanical"
+    potential_and_gradient: Callable[[np.ndarray], tuple] | None = None
     # The diagonal of M when M is diagonal, else None; set from mass_matrix.
     _mass_diagonal: np.ndarray | None = field(default=None, init=False,
                                               repr=False, compare=False)
@@ -70,6 +75,15 @@ class SimpleMechanicalSystem:
                            diagonal if np.array_equal(M, np.diag(diagonal)) else None)
         if self.masses is not None:
             object.__setattr__(self, "masses", np.asarray(self.masses, dtype=float))
+        both = self.potential_and_gradient
+        if both is not None:
+            if self.potential is None:
+                object.__setattr__(self, "potential", lambda q: both(q)[0])
+            if self.potential_gradient is None:
+                object.__setattr__(self, "potential_gradient", lambda q: both(q)[1])
+        elif self.potential is None or self.potential_gradient is None:
+            raise SchemaError("need potential and potential_gradient, or "
+                              "potential_and_gradient")
 
     @property
     def n(self) -> int:
@@ -106,7 +120,15 @@ class SimpleMechanicalSystem:
             return (np.asarray(self.potential_gradient(q), dtype=float),
                     self._inverse_mass(p))
 
-        return ScalarField(value=self._energy, grad=grad)
+        if self.potential_and_gradient is None:
+            return ScalarField(value=self._energy, grad=grad)
+
+        def value_and_grad(q, p):  # _energy's expression, on one evaluation of U
+            u, grad_u = self.potential_and_gradient(q)
+            return (self.kinetic(p) + float(u),
+                    (np.asarray(grad_u, dtype=float), self._inverse_mass(p)))
+
+        return ScalarField(value=self._energy, grad=grad, value_and_grad=value_and_grad)
 
 
 @dataclass(frozen=True)

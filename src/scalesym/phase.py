@@ -24,7 +24,10 @@ enters or leaves the public API; inner loops (RK4 stages, finite-difference
 probes, per-row momenta and lifts) pass a ``ScalarField`` bare (q, p) arrays.
 A field's ``grad`` also takes stacks: q and p of shape (..., n), one state
 per row, with every row computed as if it came alone.  That is what lets
-``flow_jacobian`` integrate all of its probes at once.
+``flow_jacobian`` integrate all of its probes at once.  Where both the
+value and the gradient at one state are read (an RK4 node that
+``integrate`` records), a field's ``value_and_grad`` gives them, from one
+evaluation when the field supplies a fused form.
 
 The module also provides the central-difference Jacobian behind every
 numerical derivative in the package: the gradient oracle for analytic
@@ -128,10 +131,28 @@ class ScalarField:
     the gradient at that row alone, bit for bit.  Use :meth:`from_value`
     when no analytic gradient is available; the finite-difference fallback
     satisfies the same contract at reduced accuracy.
+
+    ``value_and_grad(q, p)`` returns ``(value(q, p), grad(q, p))`` from one
+    evaluation where the field has one, and takes what ``value`` takes: the
+    float is ``value``'s and the arrays are ``grad``'s, bit for bit.  Left
+    out, it is the two separate calls, so a field whose value and gradient
+    share no work need not supply it.
     """
 
     value: Callable[[np.ndarray, np.ndarray], float]
     grad: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    value_and_grad: Callable[[np.ndarray, np.ndarray],
+                             tuple[float, tuple[np.ndarray, np.ndarray]]] | None = None
+
+    def __post_init__(self):
+        if self.value_and_grad is None:
+            value, grad = self.value, self.grad
+
+            def value_and_grad(q, p):
+                g = grad(q, p)  # first, so a node raises what a stage would
+                return value(q, p), g
+
+            object.__setattr__(self, "value_and_grad", value_and_grad)
 
     @classmethod
     def from_value(cls, value: Callable[..., float]) -> "ScalarField":
@@ -162,6 +183,16 @@ def _map_rows(f: Callable, *stacks):
     if isinstance(rows[0], tuple):
         return tuple(stack(part) for part in zip(*rows))
     return stack(rows)
+
+
+def _dot_rows(a, b):
+    """a . b for vectors, or row by row for (..., n) stacks (a float, or a
+    (...) array).  Each row is reduced as ``a @ b`` reduces one vector, by
+    BLAS dot, so a stacked row equals the lone vector's float bit for bit;
+    ``(a * b).sum(-1)`` and ``np.linalg.norm(..., axis=-1)`` sum in another
+    order."""
+    dot = (np.asarray(a)[..., None, :] @ np.asarray(b)[..., :, None])[..., 0, 0]
+    return float(dot) if dot.ndim == 0 else dot
 
 
 def omega_matrix(n: int) -> np.ndarray:

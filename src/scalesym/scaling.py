@@ -31,6 +31,7 @@ from .phase import (
     PhasePoint,
     ScalarField,
     TangentVector,
+    _dot_rows,
     _fd_stack_jacobian,
     _map_rows,
     _worst,
@@ -135,20 +136,25 @@ def config_jacobian(action: ScalingAction, g: float, q) -> np.ndarray:
     return np.asarray(action.dpsi(g, q), dtype=float)
 
 
-def _lift(action: ScalingAction, g: float, q, p) -> tuple[np.ndarray, np.ndarray]:
-    """act_phase on bare coordinate arrays, or row by row on (..., n) stacks."""
-    if g <= 0:
+def _lift(action: ScalingAction, g, q, p) -> tuple[np.ndarray, np.ndarray]:
+    """act_phase on bare coordinate arrays, or row by row on (..., n) stacks,
+    with g a float or a (..., 1) column of group elements (one per row)."""
+    if np.any(np.asarray(g) <= 0):
         raise ValueError(f"group element must be positive, got g={g}")
     if action.is_dilation:
         # (D Psi_g)^{-T} is diagonal: momenta pick up g^{c - w_i}.
         return g ** action.weights * q, g ** (action.c - action.weights) * p
 
-    def lift_one(q, p):  # a custom action's psi and dpsi take one state
+    def lift_one(g, q, p):  # a custom action's psi and dpsi take one state
+        g = float(g[0])
         jac = config_jacobian(action, g, q)
         p_new = g ** action.c * np.linalg.solve(jac.T, p)
         return act_config(action, g, q), p_new
 
-    return _map_rows(lift_one, q, p)
+    g = np.reshape(g, np.shape(g) or (1,))  # a float is a one-entry column
+    lead = np.broadcast_shapes(g.shape[:-1], np.shape(q)[:-1])
+    return _map_rows(lift_one, *(np.broadcast_to(x, lead + np.shape(x)[-1:])
+                                 for x in (g, q, p)))
 
 
 def act_phase(action: ScalingAction, g: float, z: PhasePoint) -> PhasePoint:
@@ -190,8 +196,9 @@ def generator_phase(action: ScalingAction, xi: float, z: PhasePoint) -> TangentV
 
 
 def _momentum(action: ScalingAction, q, p) -> float:
-    """momentum_map on bare coordinate arrays."""
-    return float(p @ generator_config(action, 1.0, q))
+    """momentum_map on bare coordinate arrays, or row by row on (..., n)
+    stacks, each row the float of that row alone."""
+    return _dot_rows(p, generator_config(action, 1.0, q))
 
 
 def momentum_map(action: ScalingAction, z: PhasePoint) -> float:

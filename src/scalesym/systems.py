@@ -94,6 +94,18 @@ class NBodySpec:
         mm.flags.writeable = False
         return mm
 
+    @cached_property
+    def pair_mass_products(self) -> np.ndarray:  # m_i m_j over the pairs i < j
+        mm = self.mass_products[self.pairs]
+        mm.flags.writeable = False
+        return mm
+
+    @cached_property
+    def body_indices(self) -> np.ndarray:  # 0, 1, ..., bodies - 1
+        i = np.arange(self.bodies)
+        i.flags.writeable = False
+        return i
+
 
 @dataclass(frozen=True)
 class ConformalSystem:
@@ -149,19 +161,18 @@ def nbody_potential_and_gradient(spec: NBodySpec, q, *,
     """
     diff, dist = _separations(spec, q)
     i, j = spec.pairs
-    mm = spec.mass_products
     pair_dist = np.ascontiguousarray(dist[..., i, j])  # rows sum as one row does
     collided = pair_dist <= collision_threshold  # NaN in one row hides no other row
     if collided.any():
         raise CollisionDetected(
             f"pairwise separation {pair_dist[collided].min():.3e} under threshold "
             f"{collision_threshold:.3e}")
-    value = -(mm[i, j] / pair_dist).sum(axis=-1)
-    diagonal = np.arange(spec.bodies)
+    value = -(spec.pair_mass_products / pair_dist).sum(axis=-1)
+    diagonal = spec.body_indices
     dist[..., diagonal, diagonal] = 1.0  # diagonal of diff is zero, so grad[i, i] = 0
     # In place, so a stacked call (the solver's probes, say) holds no third
     # (..., N, N, d) array; the values are those of the out-of-place form.
-    weight = np.divide(mm, np.power(dist, 3, out=dist), out=dist)
+    weight = np.divide(spec.mass_products, np.power(dist, 3, out=dist), out=dist)
     grad = np.multiply(weight[..., None], diff, out=diff).sum(axis=-2)
     grad = grad.reshape(np.shape(q))
     return (float(value) if value.ndim == 0 else value), grad
@@ -173,18 +184,16 @@ def nbody_mass_matrix(spec: NBodySpec) -> np.ndarray:
 
 def nbody_system(spec: NBodySpec, *,
                  collision_threshold: float = 1e-6) -> SimpleMechanicalSystem:
-    def potential(q):
+    """The n-body problem as a simple mechanical system on the one kernel
+    ``nbody_potential_and_gradient``: where H and its gradient are both
+    read (an RK4 node), one kernel call gives them."""
+    def kernel(q):
         return nbody_potential_and_gradient(
-            spec, q, collision_threshold=collision_threshold)[0]
-
-    def gradient(q):
-        return nbody_potential_and_gradient(
-            spec, q, collision_threshold=collision_threshold)[1]
+            spec, q, collision_threshold=collision_threshold)
 
     return SimpleMechanicalSystem(
-        mass_matrix=nbody_mass_matrix(spec), potential=potential,
-        potential_gradient=gradient, alpha=-1.0,
-        masses=np.asarray(spec.masses), dim=spec.dim, name="nbody")
+        mass_matrix=nbody_mass_matrix(spec), potential_and_gradient=kernel,
+        alpha=-1.0, masses=np.asarray(spec.masses), dim=spec.dim, name="nbody")
 
 
 def anisotropic_kepler_system(mu: float) -> SimpleMechanicalSystem:

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scalesym import FD_STEP, NBodySpec, cli, certify_relative_equilibrium, \
-    dynamics, equilibria, euler_collinear_oracle, integrate, lagrange_triangle, \
-    make_system, nbody_system, solve_central_configuration, systems
+from scalesym import FD_STEP, NBodySpec, ScalingAction, Trajectory, cli, \
+    certify_relative_equilibrium, dynamics, equilibria, euler_collinear_oracle, \
+    integrate, lagrange_triangle, make_system, nbody_system, \
+    solve_central_configuration, systems
 from scalesym.cli import main, read_trajectory_csv, write_trajectory_csv
 from scalesym.systems import damped_oscillator
 from scalesym.phase import PhasePoint
@@ -249,6 +250,49 @@ def test_trajectory_csv_round_trip_multidimensional(tmp_path):
     header = path.read_text().splitlines()[0].split(",")
     assert header[1] == "q_1" and header[6] == "q_6"
     assert header[7] == "p_1" and header[-4:] == ["H", "J", "K", "int_theta"]
+
+
+def _csv_one_element_at_a_time(traj: Trajectory) -> str:
+    """Reference formatter: repr(float(x)) of each numpy scalar, row by row."""
+    n = traj.n
+    header = (["t"] + [f"q_{i + 1}" for i in range(n)]
+              + [f"p_{i + 1}" for i in range(n)] + ["H", "J", "K", "int_theta"])
+    lines = [",".join(header)]
+    for k in range(len(traj)):
+        row = ([traj.times[k]] + list(traj.qs[k]) + list(traj.ps[k])
+               + [traj.energy[k], traj.momentum[k], traj.kinetic[k],
+                  traj.int_theta[k]])
+        lines.append(",".join(repr(float(x)) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_trajectory_csv_bytes_and_exact_round_trip(tmp_path):
+    # Signed zero, the smallest subnormal, a large integer-valued double and
+    # two floats whose shortest repr needs 16-17 digits.
+    odd = [-0.0, 5e-324, 1e16, 0.1 + 0.2, 1.0 / 3.0]
+    traj = Trajectory(times=np.array([0.0, 0.1 + 0.2, 1.0 / 3.0]),
+                      qs=np.array([odd[:2], odd[2:4], odd[3:]]),
+                      ps=np.array([odd[4:0:-2], odd[::2][:2], [-5e-324, -1e16]]),
+                      energy=np.array(odd[:3]), momentum=np.array(odd[2:]),
+                      kinetic=np.array(odd[1:4]), int_theta=np.array(odd[::2]))
+    path = tmp_path / "odd.csv"
+    write_trajectory_csv(str(path), traj)
+    assert path.read_bytes() == _csv_one_element_at_a_time(traj).encode("utf-8")
+    back = read_trajectory_csv(str(path))
+    for name in ("times", "qs", "ps", "energy", "momentum", "kinetic", "int_theta"):
+        assert getattr(back, name).tobytes() == getattr(traj, name).tobytes(), name
+
+
+def test_trajectory_csv_bytes_of_an_integrated_trajectory(tmp_path):
+    system = nbody_system(NBodySpec((1.0, 2.0, 0.5), dim=3))
+    action = ScalingAction.uniform_dilation(9, 0.5, -1.0)
+    z0 = PhasePoint([1.0, 0, 0, -0.5, 0.2, 0, 0, 1.1, -0.3],
+                    [0.1, 0.4, 0, -0.2, 0, 0.1, 0.3, -0.1, 0])
+    # 301 rows: the writer's row blocks, one of them partial
+    traj = integrate(system.hamiltonian_field(), 0.0, z0, 0.3, 1e-3, action=action)
+    path = tmp_path / "nbody.csv"
+    write_trajectory_csv(str(path), traj)
+    assert path.read_bytes() == _csv_one_element_at_a_time(traj).encode("utf-8")
 
 
 def test_verify_damped_oscillator_default_checks(workdir):

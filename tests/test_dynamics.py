@@ -32,6 +32,8 @@ from scalesym import (
     verify_homothetic_orbit,
     xi_squared_from_config,
 )
+from scalesym import systems
+from scalesym.scaling import act_phase
 
 from conftest import kepler_action
 
@@ -402,3 +404,45 @@ def test_gradient_calls_per_stack():
     calls.clear()
     integrate(counted, c, z0, m * 1e-2, 1e-2)
     assert calls == [(z0.n,)] * (4 * m + 1)
+
+
+def test_nbody_kernel_calls_per_step(monkeypatch):
+    # integrate: one kernel call per RK4 node (value and gradient together)
+    # and one per later stage; flow_jacobian: one per stage on its stack.
+    F, c, z0 = _flow_case("nbody3")
+    m = 10
+    calls = []
+    kernel = systems.nbody_potential_and_gradient
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(systems, "nbody_potential_and_gradient", counted)
+    traj = integrate(F, c, z0, m * 1e-2, 1e-2)
+    assert calls == [(z0.n,)] * (4 * m + 1)
+    calls.clear()
+    flow_jacobian(F, c, z0, m * 1e-2, 1e-2)
+    assert calls == [(4 * z0.n, z0.n)] * (4 * m)
+    # each node's H is the float that F.value returns there
+    assert traj.energy.tobytes() == np.array(
+        [F.value(q, p) for q, p in zip(traj.qs, traj.ps)]).tobytes()
+
+
+@pytest.mark.parametrize("xi", [2.0, -2.0])
+def test_homothetic_deviation_is_the_row_by_row_norm(xi):
+    # The worst of ||z(t_k) - Phi_eta z_e|| / max(1, ||Phi_eta z_e||), each
+    # norm taken on one row, as np.linalg.norm takes a vector; 301 rows span
+    # several of the check's row blocks.
+    _, system, action, re = _two_body_re(xi)
+    H = system.hamiltonian_field()
+    report = verify_homothetic_orbit(H, action, re, 0.3, 1e-3)
+    traj = integrate(H, 0.0, re.phase_point(), 0.3, 1e-3)
+    eta = homothetic_factor(action, re.xi, traj.times)
+    worst = 0.0
+    for k in range(len(traj)):
+        ref = act_phase(action, float(eta[k]), re.phase_point()).flat()
+        num = np.concatenate((traj.qs[k], traj.ps[k]))
+        dev = float(np.linalg.norm(num - ref)) / max(1.0, float(np.linalg.norm(ref)))
+        worst = max(worst, dev)
+    assert report.homothetic_deviation == worst

@@ -10,17 +10,20 @@ checks read one trajectory in the order requested, plus the four symmetry
 checks of ``verify`` on a 3-body spec whose action has weight 2 and on a
 power law with a non-diagonal mass matrix and the derived exponent
 c = (2 + alpha)/2, plus ``verify --checks flow,noether`` on that weight-2
-spec, whose Noether drift reads a J that is not p . q.  Identical (config,
-seed) pairs must keep producing byte-identical artifacts across
-refactors.  The first four digests were recorded from the build before
+spec, whose Noether drift reads a J that is not p . q, plus ``integrate``
+of 10 equal masses in 3-D from a fixed separated start, whose CSV carries
+the many-body kernel's H at every node.  Identical (config, seed) pairs
+must keep producing byte-identical artifacts across refactors.  The first four digests were recorded from the build before
 the field contract moved from PhasePoint arguments to (q, p) arrays, the
 next two from the build before flow_jacobian integrated its probes as one
 stack, the next two from the build before the solver's Jacobian evaluated
 its probes as one stack, the next from the build before ``verify``
 integrated its start once for both checks, the next two from the build
-before the verifier's probe loop moved onto bare arrays, and the last
-from the build before ``make_system`` stopped running the verifier; a
-change that alters any artifact must say so and re-record them.  Paths
+before the verifier's probe loop moved onto bare arrays, the next from
+the build before ``make_system`` stopped running the verifier, and the
+last from the build before RK4 nodes read H and its gradient from one
+evaluation; a change that alters any artifact must say so and re-record
+them.  Paths
 are relative to the working directory because the artifacts embed them.
 """
 
@@ -47,6 +50,13 @@ INIT_Q = "-0.52,-0.21,0.47,-0.23,0.02,0.22"
 # A start near the triangle with a small rotating momentum.
 INIT_Z = ("-0.5,-0.2165,0.5,-0.2165,0.0,0.2165,"
           "0.3,-0.6,0.25,0.55,-0.275,0.025")
+# Ten bodies at least 0.8 apart in 3-D, then their momenta.
+INIT_Z10 = ("1.24,0.91,1.13,0.07,1.25,-1.36,-1.41,-1.44,-0.74,-0.75,-0.94,0.2,"
+            "-1.38,0.27,-1,0.53,-1.44,-0.57,1.32,0.12,0.93,0.47,0.33,-0.93,"
+            "0.22,-1.38,0.9,1.38,1.06,-1.35,"
+            "-0.13,-0.15,-0.31,0.1,0.24,-0.15,0.29,0.24,-0.3,0.21,0.31,-0.24,"
+            "0.06,0.11,0.09,-0.32,0.13,0.11,0.26,0.24,-0.14,0.18,0.29,0.31,"
+            "-0.27,-0.38,0.12,-0.23,0.05,0.36")
 
 GOLDEN = {
     "solve-cc": "22080761e5a5330a08ed38621f2f6c72fe11188f82d03871c3a072406afbd90f",
@@ -61,6 +71,7 @@ GOLDEN = {
     "verify-weighted": "b3df08dbec4b3978897fe13415d5ca974c84d4a0148c7408a4946d6ba44da7c3",
     "verify-homogeneous": "60964f6770a7cffdf5c086e7f804bbdb633533b56a2f49a2fca076b1b775fc03",
     "verify-weighted-flow-noether": "62137a4425223e2f4a5ef1ba7fe96f4d31d6b1835c238fd3bc9f386f1105ea1c",
+    "integrate-equal10": "056163f7b1940ba31d2869be4aea267e6fd93f510a456b02b3675f8af46f0321",
 }
 
 RUNS = {
@@ -89,6 +100,8 @@ RUNS = {
     "verify-weighted-flow-noether": ["verify", "--system", "weighted.json", "--checks",
                                      "flow,noether", "--t-final", "0.02",
                                      "--out", "verify-weighted-flow.json"],
+    "integrate-equal10": ["integrate", "--system", "equal10.json", "--init", "z10.csv",
+                          "--t-final", "0.2", "--dt", "0.001", "--out", "traj10.csv"],
 }
 # Every run exits 0 except this one, whose solver fails.
 EXIT_CODES = {"solve-cc-random-seed13": 2}
@@ -100,6 +113,7 @@ def artifact_digests(workdir) -> dict:
         (workdir / name).write_text(json.dumps(spec))
     (workdir / "q0.csv").write_text(INIT_Q + "\n")
     (workdir / "z0.csv").write_text(INIT_Z + "\n")
+    (workdir / "z10.csv").write_text(INIT_Z10 + "\n")
     digests = {}
     for name, argv in RUNS.items():
         assert main(argv) == EXIT_CODES.get(name, 0), name

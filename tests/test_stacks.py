@@ -2,7 +2,11 @@
 row and bit for bit, grad on each row alone.
 
 flow_jacobian integrates its probes as one stack and relies on this, so
-every in-package field is swept here over random stacks.
+every in-package field is swept here over random stacks.  The fused
+``value_and_grad``, which RK4 nodes call, is held to ``value`` and to that
+stacked ``grad`` the same way, and so are the row-by-row momentum map and
+lift that the Noether series and the homothetic check apply to whole
+trajectories.
 """
 
 import numpy as np
@@ -21,6 +25,7 @@ from scalesym import (
     nbody_system,
     power_law_system,
 )
+from scalesym.scaling import _lift, _momentum
 
 from conftest import quadratic_action
 
@@ -34,6 +39,22 @@ def assert_stack_matches_rows(field: ScalarField, Q, P):
     rows = [field.grad(q.copy(), p.copy()) for q, p in zip(Q, P)]
     assert np.array_equal(gq, np.stack([r[0] for r in rows]))
     assert np.array_equal(gp, np.stack([r[1] for r in rows]))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def assert_fused_matches_separate(field: ScalarField, Q, P):
+    """value_and_grad at each row gives value's float and grad's arrays there,
+    bit for bit, and its gradient is that row of grad on the whole stack."""
+    gq, gp = field.grad(Q, P)
+    for k, (q, p) in enumerate(zip(Q, P)):
+        value, (fq, fp) = field.value_and_grad(q.copy(), p.copy())
+        assert _bits(value) == _bits(field.value(q.copy(), p.copy()))
+        alone_q, alone_p = field.grad(q.copy(), p.copy())
+        assert _bits(fq) == _bits(alone_q) == _bits(gq[k])
+        assert _bits(fp) == _bits(alone_p) == _bits(gp[k])
 
 
 @st.composite
@@ -129,3 +150,77 @@ def test_from_value_field_stacks(data, n):
     field = ScalarField.from_value(
         lambda q, p: float(q @ p) + 0.25 * float(q @ q) ** 2 + float(np.sin(p).sum()))
     assert_stack_matches_rows(field, *data.draw(_stack(n)))
+
+
+# --- value_and_grad: one evaluation, the same bits ---------------------------
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_nbody_stacks())
+def test_nbody_value_and_grad_is_value_and_grad(case):
+    spec, Q, P = case
+    field = nbody_system(spec).hamiltonian_field()
+    assert field.value_and_grad is not None
+    assert_fused_matches_separate(field, Q, P)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.floats(0.2, 5.0), _stack(2, elements=_nonzero))
+def test_anisotropic_kepler_value_and_grad_is_value_and_grad(mu, stack):
+    assert_fused_matches_separate(anisotropic_kepler_system(mu).hamiltonian_field(),
+                                  *stack)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.data(), st.integers(1, 4),
+       st.sampled_from([-2.0, -1.0, 1.0, 2.0, 3.0]) | st.floats(-3.0, 3.0).filter(bool),
+       st.floats(-2.0, 2.0))
+def test_power_law_value_and_grad_is_value_and_grad(data, n, alpha, k):
+    Q, P = data.draw(_stack(n, elements=_nonzero))
+    assert_fused_matches_separate(power_law_system(n, alpha, k).hamiltonian_field(),
+                                  Q, P)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.floats(0.0, 2.0), _stack(1))
+def test_damped_oscillator_value_and_grad_is_value_and_grad(friction, stack):
+    assert_fused_matches_separate(damped_oscillator(friction).field, *stack)
+
+
+# --- whole trajectories: momentum map and lift, row by row --------------------
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.data(), st.integers(1, 30))
+def test_dilation_momentum_of_a_stack_is_each_rows(data, n):
+    weights = data.draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
+    action = ScalingAction.dilation(weights, 0.5, -1.0)
+    Q, P = data.draw(_stack(n))
+    J = _momentum(action, Q, P)
+    assert _bits(J) == _bits([_momentum(action, q.copy(), p.copy())
+                              for q, p in zip(Q, P)])
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_stack(2))
+def test_custom_momentum_of_a_stack_is_each_rows(stack):
+    action = quadratic_action()
+    Q, P = stack
+    assert _bits(_momentum(action, Q, P)) == _bits(
+        [_momentum(action, q.copy(), p.copy()) for q, p in zip(Q, P)])
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.data(), st.booleans())
+def test_lift_by_a_column_of_group_elements_is_each_rows(data, custom):
+    # one state lifted by a column of g's, as the homothetic check lifts z_e
+    n = 2 if custom else data.draw(st.integers(1, 9))
+    if custom:
+        action = quadratic_action()
+    else:
+        weights = data.draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
+        action = ScalingAction.dilation(weights, data.draw(st.floats(-2.0, 2.0)), -1.0)
+    q, p = (data.draw(arrays(float, n, elements=_coordinates)) for _ in range(2))
+    g = data.draw(arrays(float, (data.draw(_rows), 1), elements=st.floats(0.2, 5.0)))
+    Q, P = _lift(action, g, q, p)
+    rows = [_lift(action, float(gk[0]), q, p) for gk in g]
+    assert _bits(Q) == _bits([r[0] for r in rows])
+    assert _bits(P) == _bits([r[1] for r in rows])
