@@ -12,7 +12,11 @@ power law with a non-diagonal mass matrix and the derived exponent
 c = (2 + alpha)/2, plus ``verify --checks flow,noether`` on that weight-2
 spec, whose Noether drift reads a J that is not p . q, plus ``integrate``
 of 10 equal masses in 3-D from a fixed separated start, whose CSV carries
-the many-body kernel's H at every node.  Identical (config, seed) pairs
+the many-body kernel's H at every node, plus the four symmetry checks of
+``verify`` on 20 bodies in 3-D, on a power law under a per-coordinate
+weighted dilation and on a 3-body spec whose c is mis-set (both exit 3,
+with invariance failed), and on the Kepler spec, whose default probe draws read H
+and redraw where it is singular or huge.  Identical (config, seed) pairs
 must keep producing byte-identical artifacts across refactors.  The first four digests were recorded from the build before
 the field contract moved from PhasePoint arguments to (q, p) arrays, the
 next two from the build before flow_jacobian integrated its probes as one
@@ -20,9 +24,10 @@ stack, the next two from the build before the solver's Jacobian evaluated
 its probes as one stack, the next from the build before ``verify``
 integrated its start once for both checks, the next two from the build
 before the verifier's probe loop moved onto bare arrays, the next from
-the build before ``make_system`` stopped running the verifier, and the
-last from the build before RK4 nodes read H and its gradient from one
-evaluation; a change that alters any artifact must say so and re-record
+the build before ``make_system`` stopped running the verifier, the next
+from the build before RK4 nodes read H and its gradient from one
+evaluation, and the last four from the build before the verifier ran
+its checks on one probe stack; a change that alters any artifact must say so and re-record
 them.  Paths
 are relative to the working directory because the artifacts embed them.
 """
@@ -43,6 +48,13 @@ SPECS = {
                       "action": {"weights": 2, "c": 1.0, "b": -2.0}},
     "homogeneous.json": {"type": "homogeneous", "alpha": -1.5, "n": 3, "k": -2,
                          "mass_matrix": [[2, .3, 0], [.3, 1, .1], [0, .1, 1.5]]},
+    "bodies20.json": {"type": "nbody", "masses": [0.5 + 0.1 * k for k in range(20)],
+                      "dim": 3},
+    "per-coordinate.json": {"type": "homogeneous", "alpha": 2, "n": 4, "k": 0.5,
+                            "action": {"weights": [1, 2, 0.5, 1.5], "c": 1.5,
+                                       "b": 2}},
+    "misset-c.json": {"type": "nbody", "masses": [1.0, 1.0, 2.0], "dim": 2,
+                      "action": {"c": 0.6, "b": -1.0}},
 }
 SYMMETRY_CHECKS = "symplectic,invariance,momentum,scaling-function"
 # A Lagrange triangle for masses (1, 1, 2), perturbed by a few percent.
@@ -72,6 +84,10 @@ GOLDEN = {
     "verify-homogeneous": "60964f6770a7cffdf5c086e7f804bbdb633533b56a2f49a2fca076b1b775fc03",
     "verify-weighted-flow-noether": "62137a4425223e2f4a5ef1ba7fe96f4d31d6b1835c238fd3bc9f386f1105ea1c",
     "integrate-equal10": "056163f7b1940ba31d2869be4aea267e6fd93f510a456b02b3675f8af46f0321",
+    "verify-bodies20": "74fb387a9a21cf32cdff0f426ff2183ce884e910887627ee72c074c260670305",
+    "verify-per-coordinate": "2b2ec6b80f5506e1612588f82d08e2705f7f218dbd7a8fe8b61f6003e899616f",
+    "verify-misset-c": "ae1fb8e4f6689aa1f9c89ccd90246a1d689cb65567b62d0e6fc9279558fc65f2",
+    "verify-kepler-symmetry": "10f863edc0b6b8ef90c7cfc6e857b4cab73620e052b613f460fcdb9920873a85",
 }
 
 RUNS = {
@@ -102,9 +118,19 @@ RUNS = {
                                      "--out", "verify-weighted-flow.json"],
     "integrate-equal10": ["integrate", "--system", "equal10.json", "--init", "z10.csv",
                           "--t-final", "0.2", "--dt", "0.001", "--out", "traj10.csv"],
+    "verify-bodies20": ["verify", "--system", "bodies20.json", "--checks",
+                        SYMMETRY_CHECKS, "--out", "verify-bodies20.json"],
+    "verify-per-coordinate": ["verify", "--system", "per-coordinate.json", "--checks",
+                              SYMMETRY_CHECKS, "--out", "verify-per-coordinate.json"],
+    "verify-misset-c": ["verify", "--system", "misset-c.json", "--checks",
+                        SYMMETRY_CHECKS, "--out", "verify-misset-c.json"],
+    "verify-kepler-symmetry": ["verify", "--system", "kepler.json", "--checks",
+                               SYMMETRY_CHECKS, "--out", "verify-kepler-symmetry.json"],
 }
-# Every run exits 0 except this one, whose solver fails.
-EXIT_CODES = {"solve-cc-random-seed13": 2}
+# Every run exits 0 except these: a solver that fails, and two symmetry
+# reports whose invariance check fails.
+EXIT_CODES = {"solve-cc-random-seed13": 2, "verify-per-coordinate": 3,
+              "verify-misset-c": 3}
 
 
 def artifact_digests(workdir) -> dict:
