@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CollisionDetected, DimensionMismatch, NonFiniteValue, \
     SchemaError, SolverDidNotConverge, SymmetryVerificationFailed
-from .phase import PhasePoint, ScalarField, _fd_stack_jacobian
+from .phase import PhasePoint, ScalarField, _dot_rows, _fd_stack_jacobian
 from .scaling import (
     ScalingAction,
     generator_config,
@@ -43,7 +43,10 @@ class SimpleMechanicalSystem:
     one ``potential_and_gradient(q)`` returning (U, grad U) from a single
     evaluation; the two separate callables then default to its parts, and
     ``hamiltonian_field`` evaluates it once where both H and its gradient
-    are read.  ``alpha`` declares the homogeneity degree of U under uniform
+    are read, and once for H on a whole stack of states.  It takes one
+    configuration or a (..., n) stack, and returns U as a float or a (...)
+    array with the gradient's (n,) or (..., n) stack, each row that of the
+    row alone.  ``alpha`` declares the homogeneity degree of U under uniform
     dilation when known.  ``masses``/``dim`` are set for point-particle
     systems whose configuration is bodies x dim flattened; they switch on
     the center-of-mass constraint in the solver.
@@ -128,7 +131,13 @@ class SimpleMechanicalSystem:
             return (self.kinetic(p) + float(u),
                     (np.asarray(grad_u, dtype=float), self._inverse_mass(p)))
 
-        return ScalarField(value=self._energy, grad=grad, value_and_grad=value_and_grad)
+        def values(q, p):  # _energy's expression, row by row from one evaluation of U
+            p = np.asarray(p, dtype=float)
+            return (0.5 * _dot_rows(p, self._inverse_mass(p))
+                    + self.potential_and_gradient(q)[0])
+
+        return ScalarField(value=self._energy, grad=grad,
+                           value_and_grad=value_and_grad, values=values)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,9 @@ per row, with every row computed as if it came alone.  That is what lets
 ``flow_jacobian`` integrate all of its probes at once.  Where both the
 value and the gradient at one state are read (an RK4 node that
 ``integrate`` records), a field's ``value_and_grad`` gives them, from one
-evaluation when the field supplies a fused form.
+evaluation when the field supplies a fused form.  ``values`` gives the
+value on a whole stack (the scaling verifier's probes and lifted probes),
+from one evaluation when the field supplies a stacked form.
 
 The module also provides the central-difference Jacobian behind every
 numerical derivative in the package: the gradient oracle for analytic
@@ -37,7 +39,10 @@ probe stack (rows 2i and 2i+1 are x + h_i e_i and x - h_i e_i), calls f
 once on the whole stack and forms the difference quotients.  The solver's
 residual, the cotangent lift and ``flow_jacobian``'s RK4 loop take the
 stack as it is; the public ``fd_jacobian`` keeps its one-state contract by
-mapping f over the rows.
+mapping f over the rows.  The core also takes a stack of base points, as
+the verifier's custom-action lifts do, and ``_fd_diagonal`` gives the
+same diagonal from two probes per point for a map that acts coordinate by
+coordinate, as a dilation's lift does.
 """
 
 from dataclasses import dataclass
@@ -137,22 +142,30 @@ class ScalarField:
     float is ``value``'s and the arrays are ``grad``'s, bit for bit.  Left
     out, it is the two separate calls, so a field whose value and gradient
     share no work need not supply it.
+
+    ``values(q, p)`` is ``value`` on (..., n) stacks: a (...) array whose
+    entries equal ``value`` at each row alone, bit for bit (a float for one
+    state).  Left out, it calls ``value`` once per row, so ``value`` itself
+    need only take one state; a field whose value vectorizes (the n-body H)
+    supplies it.
     """
 
     value: Callable[[np.ndarray, np.ndarray], float]
     grad: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     value_and_grad: Callable[[np.ndarray, np.ndarray],
                              tuple[float, tuple[np.ndarray, np.ndarray]]] | None = None
+    values: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
+        value, grad = self.value, self.grad
         if self.value_and_grad is None:
-            value, grad = self.value, self.grad
-
             def value_and_grad(q, p):
                 g = grad(q, p)  # first, so a node raises what a stage would
                 return value(q, p), g
 
             object.__setattr__(self, "value_and_grad", value_and_grad)
+        if self.values is None:
+            object.__setattr__(self, "values", lambda q, p: _map_rows(value, q, p))
 
     @classmethod
     def from_value(cls, value: Callable[..., float]) -> "ScalarField":
@@ -226,10 +239,11 @@ def conformal_vector_field(F: ScalarField, c: float, z: PhasePoint) -> TangentVe
     return TangentVector(gp, -gq + c * z.p)
 
 
-def _representable_step(x_i: float) -> float:
-    """cbrt(eps) * max(1, |x_i|), snapped so that x_i + h - x_i is exact."""
-    h = FD_STEP * max(1.0, abs(x_i))
-    return (x_i + h) - x_i
+def _fd_steps(x) -> np.ndarray:
+    """cbrt(eps) * max(1, |x_i|) for each entry of x, snapped so that
+    x_i + h_i - x_i is exact."""
+    h = FD_STEP * np.fmax(1.0, np.abs(x))
+    return (x + h) - x
 
 
 def _fd_stack_jacobian(F: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
@@ -239,20 +253,42 @@ def _fd_stack_jacobian(F: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
     x - h_i e_i, with h_i = cbrt(eps) * max(1, |x_i|) rounded to a step
     exactly representable around x_i.  F maps the stack to its (2n, m)
     values, row for row; column i of the result is
-    (F(x + h_i e_i) - F(x - h_i e_i)) / (2 h_i).  Raises NonFiniteValue if
-    F is not finite at any probe.
+    (F(x + h_i e_i) - F(x - h_i e_i)) / (2 h_i).  x may also be a (..., n)
+    stack of base points: F then takes one (..., 2n, n) stack of their
+    probes, and the (..., m, n) Jacobians each equal that of their base
+    point alone.  Raises NonFiniteValue if F is not finite at any probe.
     """
     x = np.asarray(x, dtype=float)
-    h = np.array([_representable_step(x_i) for x_i in x])
-    probes = np.repeat(x[None, :], 2 * len(x), axis=0)
-    i = np.arange(len(x))
-    probes[2 * i, i] += h
-    probes[2 * i + 1, i] -= h
+    n = x.shape[-1]
+    h = _fd_steps(x)
+    probes = np.repeat(x[..., None, :], 2 * n, axis=-2)
+    i = np.arange(n)
+    probes[..., 2 * i, i] += h
+    probes[..., 2 * i + 1, i] -= h
     values = np.asarray(F(probes), dtype=float)
-    finite = np.isfinite(values).all(axis=1)
+    finite = np.isfinite(values).all(axis=-1).reshape(-1, 2 * n).all(axis=0)
     if not finite.all():
         raise NonFiniteValue(f"f non-finite near coordinate {np.argmin(finite) // 2}")
-    return np.ascontiguousarray(((values[0::2] - values[1::2]) / (2.0 * h[:, None])).T)
+    quotients = (values[..., 0::2, :] - values[..., 1::2, :]) / (2.0 * h[..., :, None])
+    return np.ascontiguousarray(np.swapaxes(quotients, -1, -2))
+
+
+def _fd_diagonal(F: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
+    """The diagonal of ``_fd_stack_jacobian(F, x)``, bit for bit, for an F
+    that acts coordinate by coordinate (entry i of F(x) reads x_i alone).
+
+    Such an F needs two probes per base point, x + h and x - h with every
+    coordinate stepped at once; F is called once on their (2, ..., n) stack.
+    x is one base point or a (..., n) stack.  Raises NonFiniteValue if any
+    diagonal entry is not finite.
+    """
+    x = np.asarray(x, dtype=float)
+    h = _fd_steps(x)
+    values = np.asarray(F(np.stack((x + h, x - h))), dtype=float)
+    diagonal = (values[0] - values[1]) / (2.0 * h)
+    if not np.isfinite(diagonal).all():
+        raise NonFiniteValue("central-difference diagonal is not finite")
+    return diagonal
 
 
 def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:

@@ -18,7 +18,14 @@ conformal Hamiltonian with parameter c xi.  ``verify_scaling_symmetry``
 certifies numerically that a given (action, Hamiltonian) pair is a
 scaling symmetry: conformality of the lift, conformal invariance of H,
 the momentum-map identity, the scaling-function property of J, and
-conformal invariance of J.
+conformal invariance of J.  It draws its probes one at a time, then runs
+each check once on the whole probe stack: one stacked lift, one
+``ScalarField.values`` call for H at the probes and the lifted probes,
+stacked gradients of J and generators, and, for a dilation, conformality
+read from the diagonal of the lift's central-difference Jacobian, the
+only entries that are not exactly 0.  The lifts, generators and momenta
+take (..., n) stacks, with g or xi a (..., 1) column; each row is
+computed as if it came alone.
 """
 
 from dataclasses import dataclass
@@ -32,6 +39,7 @@ from .phase import (
     ScalarField,
     TangentVector,
     _dot_rows,
+    _fd_diagonal,
     _fd_stack_jacobian,
     _map_rows,
     _worst,
@@ -176,18 +184,27 @@ def generator_config(action: ScalingAction, xi: float, q) -> np.ndarray:
 
 def generator_config_jacobian(action: ScalingAction, xi: float, q) -> np.ndarray:
     """D xi_Q(q) for the given xi; (..., n, n) for a (..., n) stack of
-    custom-action configurations (a dilation's is the same for every q)."""
+    custom-action configurations (a dilation's is the same for every q) or
+    for xi a (..., 1) column."""
     q = np.asarray(q, dtype=float)
+    xi = np.asarray(xi, dtype=float)[..., None]  # one xi per matrix
     if action.is_dilation:
         return xi * np.diag(action.weights)
     return xi * np.asarray(_map_rows(action.dxi_q, q), dtype=float)
 
 
+def _transpose_times(a, v) -> np.ndarray:
+    """a.T @ v, or row by row for (..., n, n) and (..., n) stacks (either
+    may be one matrix or vector), each row reduced as the lone product."""
+    return (np.swapaxes(a, -1, -2) @ np.asarray(v)[..., None])[..., 0]
+
+
 def _generator(action: ScalingAction, xi: float, q, p) -> tuple[np.ndarray, np.ndarray]:
-    """generator_phase on bare coordinate arrays."""
+    """generator_phase on bare coordinate arrays, or row by row on (..., n)
+    stacks with xi a float or a (..., 1) column."""
     dq = generator_config(action, xi, q)
     djac = generator_config_jacobian(action, xi, q)
-    return dq, action.c * xi * p - djac.T @ p
+    return dq, action.c * xi * p - _transpose_times(djac, p)
 
 
 def generator_phase(action: ScalingAction, xi: float, z: PhasePoint) -> TangentVector:
@@ -209,20 +226,20 @@ def momentum_map(action: ScalingAction, z: PhasePoint) -> float:
     return _momentum(action, z.q, z.p)
 
 
+def _momentum_grad(action: ScalingAction, xi, q, p) -> tuple[np.ndarray, np.ndarray]:
+    """(dJ_xi/dq, dJ_xi/dp) on bare coordinate arrays, or row by row on
+    (..., n) stacks with xi a float or a (..., 1) column."""
+    djac = generator_config_jacobian(action, xi, q)
+    return _transpose_times(djac, p), generator_config(action, xi, q)
+
+
 def momentum_field(action: ScalingAction, xi: float = 1.0) -> ScalarField:
     """J_xi as a ScalarField with analytic gradient."""
 
     def value(q, p) -> float:
         return xi * _momentum(action, q, p)
 
-    def grad(q, p):  # an action's xi_q and dxi_q take one state
-        return _map_rows(one_grad, q, p)
-
-    def one_grad(q, p):
-        djac = generator_config_jacobian(action, xi, q)
-        return djac.T @ p, generator_config(action, xi, q)
-
-    return ScalarField(value=value, grad=grad)
+    return ScalarField(value=value, grad=lambda q, p: _momentum_grad(action, xi, q, p))
 
 
 def lift_exponent(a: float, b: float) -> float:
@@ -285,8 +302,13 @@ def _default_probe(action: ScalingAction, H: ScalarField, rng) -> PhasePoint:
     raise NonFiniteValue("could not draw a probe with finite, moderate H")
 
 
-def _rel(err: float, *scales: float) -> float:
-    return err / max(1.0, *(abs(s) for s in scales))
+def _rel(err, *scales):
+    """err / max(1, |s| for s in scales), elementwise over probe arrays; a
+    NaN scale is skipped, as Python's max skips it (np.fmax, not np.maximum)."""
+    scale = 1.0
+    for s in scales:
+        scale = np.fmax(scale, np.abs(s))
+    return err / scale
 
 
 def phase_jacobian_fd(action: ScalingAction, g: float, z: PhasePoint) -> np.ndarray:
@@ -296,6 +318,31 @@ def phase_jacobian_fd(action: ScalingAction, g: float, z: PhasePoint) -> np.ndar
     return _fd_stack_jacobian(
         lambda w: np.concatenate(_lift(action, g, w[..., :n], w[..., n:]), axis=-1),
         z.flat())
+
+
+def _conformality_defects(action: ScalingAction, g, scale, x) -> np.ndarray:
+    """max |A^T Omega A - scale Omega| over the entries, for A the
+    central-difference Jacobian of the lift by g at each row of the (S, 2n)
+    stack x, with g an (S, 1) column and scale an (S,) array.  Raises
+    NonFiniteValue if A, or for a dilation its diagonal, is not finite at
+    some row.
+    """
+    n = action.n
+
+    def lift(w, g_rows):
+        return np.concatenate(_lift(action, g_rows, w[..., :n], w[..., n:]), axis=-1)
+
+    if action.is_dilation:
+        # The lift acts coordinate by coordinate, so every off-diagonal
+        # quotient of A is exactly 0 and each nonzero entry of A^T Omega A
+        # is the one rounded product +-d_i d_{i+n} of A's diagonal d: the
+        # same bits as the full product, without its (2n)^3 gemms.
+        d = _fd_diagonal(lambda w: lift(w, g), x)
+        return np.max(np.abs(d[:, :n] * d[:, n:] - scale[:, None]), axis=-1)
+    jac = _fd_stack_jacobian(lambda w: lift(w, g[:, None]), x)
+    omega = omega_matrix(n)
+    product = np.swapaxes(jac, -1, -2) @ omega @ jac
+    return np.max(np.abs(product - scale[:, None, None] * omega), axis=(-2, -1))
 
 
 def verify_scaling_symmetry(action: ScalingAction, H: ScalarField,
@@ -312,9 +359,15 @@ def verify_scaling_symmetry(action: ScalingAction, H: ScalarField,
     4. scaling-function:    dJ . X_J^c = c J
     5. momentum-invariance: J(Phi_g z) = g^c J(z)
 
+    The probes, each with its group element g and Lie algebra element xi,
+    are drawn one at a time (a redrawn probe consumes the generator too);
+    then each check runs once on the (samples, n) stacks, and H once, by
+    ``H.values``, on the probes and lifted probes together.  Each check's
+    residual is the one a loop over single probes gives, bit for bit.
+
     Failures are reported, not raised.  A NaN or infinite residual fails
     its check and is reported as is.  Each probe is validated once, as a
-    PhasePoint; the lifted probe, the gradients of J and the generator
+    PhasePoint; the lifted probes, the gradients of J and the generator
     stay bare arrays, so a non-finite one gives its check a NaN residual.
     A lift that is not finite next to a probe has no finite-difference
     Jacobian, and gives conformality a NaN residual.
@@ -322,56 +375,49 @@ def verify_scaling_symmetry(action: ScalingAction, H: ScalarField,
     if samples < 1:
         raise SchemaError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    omega = omega_matrix(action.n)
-    J_field = momentum_field(action, 1.0)
-    residuals = dict.fromkeys(
-        ["conformality", "invariance", "momentum-map",
-         "scaling-function", "momentum-invariance"], 0.0)
-
+    zs, gs, xis = [], [], []
     for _ in range(samples):
-        z = probe(rng) if probe is not None else _default_probe(action, H, rng)
-        g = float(np.exp(rng.uniform(-np.log(2.0), np.log(2.0))))
-        xi = float(rng.uniform(0.25, 2.0))
+        zs.append(probe(rng) if probe is not None else _default_probe(action, H, rng))
+        gs.append(float(np.exp(rng.uniform(-np.log(2.0), np.log(2.0)))))
+        xis.append(float(rng.uniform(0.25, 2.0)))
+    q = np.array([z.q for z in zs])
+    p = np.array([z.p for z in zs])
+    g = np.array(gs)[:, None]
+    xi = np.array(xis)[:, None]
+    # Python float pows, one per probe: NumPy's array pow differs from them
+    # in the last bit for some g.
+    g_c = np.array([gk ** action.c for gk in gs])
+    g_b = np.array([gk ** action.b for gk in gs])
+    residuals = {}
 
-        q, p = z.q, z.p
+    try:
+        defect = _conformality_defects(action, g, g_c, np.concatenate((q, p), axis=-1))
+    except NonFiniteValue:
+        defect = np.nan
+    residuals["conformality"] = _rel(defect, g_c)
 
-        scale = g ** action.c
-        try:
-            jac = phase_jacobian_fd(action, g, z)
-        except NonFiniteValue:
-            defect = float("nan")
-        else:
-            defect = float(np.max(np.abs(jac.T @ omega @ jac - scale * omega)))
-        residuals["conformality"] = _worst(residuals["conformality"],
-                                           _rel(defect, scale))
+    q_g, p_g = _lift(action, g, q, p)
+    h = H.values(np.concatenate((q, q_g)), np.concatenate((p, p_g)))
+    h0, h1 = h[:samples], h[samples:]
+    residuals["invariance"] = _rel(np.abs(h1 - g_b * h0), h1, g_b * h0)
 
-        h0 = H.value(q, p)
-        q_g, p_g = _lift(action, g, q, p)
-        h1 = H.value(q_g, p_g)
-        residuals["invariance"] = _worst(
-            residuals["invariance"],
-            _rel(abs(h1 - g ** action.b * h0), h1, g ** action.b * h0))
+    # X_{J_xi}^{xi c} = (dJ_xi/dp, -dJ_xi/dq + xi c p)
+    gq, gp = _momentum_grad(action, xi, q, p)
+    xv = np.concatenate((gp, -gq + (xi * action.c) * p), axis=-1)
+    gen = np.concatenate(_generator(action, xi, q, p), axis=-1)
+    residuals["momentum-map"] = _rel(np.max(np.abs(xv - gen), axis=-1),
+                                     np.max(np.abs(gen), axis=-1))
 
-        # X_{J_xi}^{xi c} = (dJ_xi/dp, -dJ_xi/dq + xi c p)
-        gq, gp = momentum_field(action, xi).grad(q, p)
-        xv = np.concatenate((gp, -gq + (xi * action.c) * p))
-        gen = np.concatenate(_generator(action, xi, q, p))
-        residuals["momentum-map"] = _worst(
-            residuals["momentum-map"],
-            _rel(float(np.max(np.abs(xv - gen))), float(np.max(np.abs(gen)))))
+    j0 = _momentum(action, q, p)
+    gq, gp = _momentum_grad(action, 1.0, q, p)
+    directional = _dot_rows(gq, gp) + _dot_rows(gp, -gq + action.c * p)  # dJ . X_J^c
+    residuals["scaling-function"] = _rel(np.abs(directional - action.c * j0), j0)
 
-        j0 = _momentum(action, q, p)
-        gq, gp = J_field.grad(q, p)
-        directional = float(gq @ gp + gp @ (-gq + action.c * p))  # dJ . X_J^c
-        residuals["scaling-function"] = _worst(
-            residuals["scaling-function"],
-            _rel(abs(directional - action.c * j0), j0))
+    j1 = _momentum(action, q_g, p_g)
+    residuals["momentum-invariance"] = _rel(np.abs(j1 - g_c * j0), j1, j0)
 
-        j1 = _momentum(action, q_g, p_g)
-        residuals["momentum-invariance"] = _worst(
-            residuals["momentum-invariance"],
-            _rel(abs(j1 - g ** action.c * j0), j1, j0))
-
-    checks = tuple(CheckResult(name, res, res <= tol)
-                   for name, res in residuals.items())
-    return SymmetryReport(checks=checks, samples=samples, seed=seed, tol=tol)
+    checks = []
+    for name, res in residuals.items():
+        worst = _worst(0.0, *res)
+        checks.append(CheckResult(name, worst, worst <= tol))
+    return SymmetryReport(checks=tuple(checks), samples=samples, seed=seed, tol=tol)
