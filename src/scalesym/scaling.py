@@ -311,13 +311,16 @@ def _rel(err, *scales):
     return err / scale
 
 
+def _lift_flat(action: ScalingAction, g, w) -> np.ndarray:
+    """_lift on flat (..., 2n) phase coordinates (q_1..q_n, p_1..p_n)."""
+    n = action.n
+    return np.concatenate(_lift(action, g, w[..., :n], w[..., n:]), axis=-1)
+
+
 def phase_jacobian_fd(action: ScalingAction, g: float, z: PhasePoint) -> np.ndarray:
     """Finite-difference Jacobian of act_phase(g, .) at z (2n x 2n), with
     all 4n probes lifted in one call."""
-    n = z.n
-    return _fd_stack_jacobian(
-        lambda w: np.concatenate(_lift(action, g, w[..., :n], w[..., n:]), axis=-1),
-        z.flat())
+    return _fd_stack_jacobian(lambda w: _lift_flat(action, g, w), z.flat())
 
 
 def _conformality_defects(action: ScalingAction, g, scale, x) -> np.ndarray:
@@ -328,18 +331,14 @@ def _conformality_defects(action: ScalingAction, g, scale, x) -> np.ndarray:
     some row.
     """
     n = action.n
-
-    def lift(w, g_rows):
-        return np.concatenate(_lift(action, g_rows, w[..., :n], w[..., n:]), axis=-1)
-
     if action.is_dilation:
         # The lift acts coordinate by coordinate, so every off-diagonal
         # quotient of A is exactly 0 and each nonzero entry of A^T Omega A
         # is the one rounded product +-d_i d_{i+n} of A's diagonal d: the
         # same bits as the full product, without its (2n)^3 gemms.
-        d = _fd_diagonal(lambda w: lift(w, g), x)
+        d = _fd_diagonal(lambda w: _lift_flat(action, g, w), x)
         return np.max(np.abs(d[:, :n] * d[:, n:] - scale[:, None]), axis=-1)
-    jac = _fd_stack_jacobian(lambda w: lift(w, g[:, None]), x)
+    jac = _fd_stack_jacobian(lambda w: _lift_flat(action, g[:, None], w), x)
     omega = omega_matrix(n)
     product = np.swapaxes(jac, -1, -2) @ omega @ jac
     return np.max(np.abs(product - scale[:, None, None] * omega), axis=(-2, -1))

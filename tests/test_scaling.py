@@ -15,14 +15,18 @@ from scalesym import (
     generator_config,
     generator_phase,
     lift_exponent,
+    make_system,
     momentum_field,
     momentum_map,
     nbody_system,
+    omega_matrix,
     phase_jacobian_fd,
     verify_scaling_symmetry,
 )
 from scalesym.errors import NonFiniteValue
-from scalesym.phase import TangentVector
+from scalesym.phase import TangentVector, _worst
+from scalesym.scaling import _conformality_defects, _default_probe, _lift, _momentum, \
+    _rel, generator_config_jacobian
 
 from conftest import kepler_action, quadratic_action, random_phase_point
 
@@ -418,3 +422,198 @@ def test_verifier_redraws_a_probe_where_the_field_is_singular():
         verify_scaling_symmetry(ScalingAction.uniform_dilation(2, 2.0, 2.0),
                                 ScalarField(value=lambda q, p: 1 / 0,
                                             grad=lambda q, p: (q, p)))
+
+
+# --- the stacked verifier against a loop over single probes ---------------
+
+def _same_bits(a, b) -> bool:
+    """Equal bit for bit, with any two NaNs taken as equal."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and bool(np.all((a.view(np.int64) == b.view(np.int64))
+                                              | (np.isnan(a) & np.isnan(b))))
+
+
+def _full_fd_defect(action, g: float, x) -> float:
+    """Conformality of one probe from the full 2n x 2n lift Jacobian."""
+    n = action.n
+    try:
+        jac = phase_jacobian_fd(action, g, PhasePoint(x[:n], x[n:]))
+    except NonFiniteValue:
+        return math.nan
+    omega = omega_matrix(n)
+    return float(np.max(np.abs(jac.T @ omega @ jac - g ** action.c * omega)))
+
+
+def assert_conformality_is_full_fd_defect(action, g, x):
+    """_conformality_defects on the (S, 2n) stack x, and on each row alone,
+    equals the full-Jacobian defect probe by probe; a stack with a
+    non-finite lift raises, as a single probe with one does."""
+    expected = [_full_fd_defect(action, float(gk[0]), xk) for gk, xk in zip(g, x)]
+    scale = np.array([float(gk[0]) ** action.c for gk in g])
+    for k in range(len(x)):
+        try:
+            alone = _conformality_defects(action, g[k:k + 1], scale[k:k + 1], x[k:k + 1])
+        except NonFiniteValue:
+            alone = [math.nan]
+        assert _same_bits(alone, expected[k:k + 1])
+    if np.isnan(expected).any():
+        with pytest.raises(NonFiniteValue):
+            _conformality_defects(action, g, scale, x)
+    else:
+        assert _same_bits(_conformality_defects(action, g, scale, x), expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 34, 47, 60])
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+def test_dilation_conformality_from_the_diagonal_is_the_full_fd_defect(n, weighted):
+    rng = np.random.default_rng(10 * n + weighted)
+    for _ in range(3):
+        weights = rng.uniform(-2.0, 3.0, n) if weighted else np.ones(n)
+        action = ScalingAction.dilation(weights, float(rng.uniform(-3.0, 3.0)), 0.0)
+        g = np.exp(rng.uniform(-np.log(2.0), np.log(2.0), (6, 1)))
+        assert_conformality_is_full_fd_defect(action, g, rng.uniform(-1.25, 1.25, (6, 2 * n)))
+
+
+def test_dilation_conformality_with_a_non_finite_lift_is_nan_on_both_sides():
+    # g^1100 overflows for g > 1.9 and g^(0.5 - 1100) for g < 0.53, so only
+    # the first and last probes have a lift that is not finite
+    action = ScalingAction.dilation([1.0, 1100.0, 2.0], 0.5, 0.0)
+    g = np.array([[1.95], [1.2], [0.9], [0.51]])
+    x = np.random.default_rng(1).uniform(-1.25, 1.25, (4, 6))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan([_full_fd_defect(action, float(gk[0]), xk)
+                         for gk, xk in zip(g, x)]).tolist() == [True, False, False, True]
+        assert_conformality_is_full_fd_defect(action, g, x)
+        assert_conformality_is_full_fd_defect(action, g[1:3], x[1:3])
+
+
+def test_custom_action_conformality_on_a_stack_is_the_per_probe_defect():
+    rng = np.random.default_rng(12)
+    g = np.exp(rng.uniform(-np.log(2.0), np.log(2.0), (16, 1)))
+    assert_conformality_is_full_fd_defect(quadratic_action(c=0.7), g,
+                                          rng.uniform(-1.25, 1.25, (16, 4)))
+
+
+def _rel_one(err: float, *scales: float) -> float:
+    return err / max(1.0, *(abs(s) for s in scales))
+
+
+def per_probe_residuals(action, H, samples, seed, probe=None) -> dict:
+    """The five checks as a loop over single probes, each state on its own
+    through the one-state API; returns each check's worst residual."""
+    rng = np.random.default_rng(seed)
+    worst = dict.fromkeys(["conformality", "invariance", "momentum-map",
+                           "scaling-function", "momentum-invariance"], 0.0)
+    for _ in range(samples):
+        z = probe(rng) if probe is not None else _default_probe(action, H, rng)
+        g = float(np.exp(rng.uniform(-np.log(2.0), np.log(2.0))))
+        xi = float(rng.uniform(0.25, 2.0))
+        q, p = z.q, z.p
+        residual = {"conformality": _rel_one(_full_fd_defect(action, g, z.flat()),
+                                             g ** action.c)}
+        h0 = H.value(q, p)
+        q_g, p_g = _lift(action, g, q, p)
+        h1 = H.value(q_g, p_g)
+        residual["invariance"] = _rel_one(abs(h1 - g ** action.b * h0), h1,
+                                          g ** action.b * h0)
+        djac = generator_config_jacobian(action, xi, q)
+        gq, gp = djac.T @ p, generator_config(action, xi, q)
+        xv = np.concatenate((gp, -gq + (xi * action.c) * p))
+        gen = np.concatenate((generator_config(action, xi, q),
+                              action.c * xi * p - djac.T @ p))
+        residual["momentum-map"] = _rel_one(float(np.max(np.abs(xv - gen))),
+                                            float(np.max(np.abs(gen))))
+        j0 = _momentum(action, q, p)
+        gq = generator_config_jacobian(action, 1.0, q).T @ p
+        gp = generator_config(action, 1.0, q)
+        directional = float(gq @ gp + gp @ (-gq + action.c * p))
+        residual["scaling-function"] = _rel_one(abs(directional - action.c * j0), j0)
+        j1 = _momentum(action, q_g, p_g)
+        residual["momentum-invariance"] = _rel_one(abs(j1 - g ** action.c * j0), j1, j0)
+        for name in worst:
+            worst[name] = _worst(worst[name], residual[name])
+    return worst
+
+
+def _oscillator():
+    return ScalarField(value=lambda q, p: 0.5 * float(p @ p) + 0.5 * float(q @ q),
+                       grad=lambda q, p: (q.copy(), p.copy()))
+
+
+def _built(spec):
+    built = make_system(spec)
+    return built.action, built.system.hamiltonian_field(), built.probe
+
+
+def _nan_past_1_5():
+    def value(q, p):
+        return float("nan") if np.any(np.abs(q) > 1.5) else 1.5 * float(p @ p + q @ q)
+
+    return ScalarField(value=value, grad=lambda q, p: (3.0 * q, 3.0 * p))
+
+
+def _custom_with_nan_dpsi():
+    good = quadratic_action(c=0.5, b=0.5)
+
+    def dpsi(g, q):
+        return good.dpsi(g, q) if abs(q[0]) <= 1.1 else np.full((2, 2), np.nan)
+
+    return ScalingAction.custom(2, 0.5, 0.5, good.psi, dpsi, good.xi_q, good.dxi_q)
+
+
+REPORT_CASES = {
+    "nbody-3-in-1d": lambda: _built({"type": "nbody", "masses": [1, 2, 0.5], "dim": 1}),
+    "nbody-3-in-2d": lambda: _built({"type": "nbody", "masses": [1, 1, 2], "dim": 2}),
+    "nbody-4-in-3d": lambda: _built({"type": "nbody", "masses": [1, 3, 0.5, 2], "dim": 3}),
+    "nbody-10-in-2d": lambda: _built({"type": "nbody", "masses": [1.0] * 10, "dim": 2}),
+    "nbody-10-in-3d": lambda: _built({"type": "nbody",
+                                      "masses": [0.5 + 0.2 * k for k in range(10)]}),
+    "nbody-20-in-3d": lambda: _built({"type": "nbody",
+                                      "masses": [0.5 + 0.1 * k for k in range(20)]}),
+    "kepler": lambda: _built({"type": "anisotropic-kepler", "mu": 2.0}),
+    "power-law": lambda: _built({"type": "homogeneous", "alpha": -1.5, "n": 3, "k": -2}),
+    "power-law-mass-matrix": lambda: _built(
+        {"type": "homogeneous", "alpha": -1.5, "n": 3, "k": -2,
+         "mass_matrix": [[2, .3, 0], [.3, 1, .1], [0, .1, 1.5]]}),
+    "weighted-dilation": lambda: _built(
+        {"type": "nbody", "masses": [1, 2, 0.5], "dim": 2,
+         "action": {"weights": 2, "c": 1.0, "b": -2.0}}),
+    "per-coordinate-dilation": lambda: _built(
+        {"type": "homogeneous", "alpha": 2, "n": 4, "k": 0.5,
+         "action": {"weights": [1, 2, 0.5, 1.5], "c": 1.5, "b": 2}}),
+    "mis-set-b": lambda: _built({"type": "nbody", "masses": [1, 1, 2], "dim": 2,
+                                 "action": {"c": 0.5, "b": -0.9}}),
+    "mis-set-c": lambda: _built({"type": "nbody", "masses": [1, 1, 2], "dim": 2,
+                                 "action": {"c": 0.6, "b": -1.0}}),
+    "oscillator": lambda: (ScalingAction.uniform_dilation(2, 2.0, 2.0), _oscillator(), None),
+    "nan-hamiltonian": lambda: (ScalingAction.uniform_dilation(2, 2.0, 2.0),
+                                _nan_past_1_5(), None),
+    "custom": lambda: (quadratic_action(c=0.5, b=0.5),
+                       momentum_field(quadratic_action(c=0.5, b=0.5)), None),
+    "custom-non-finite-lift": lambda: (_custom_with_nan_dpsi(),
+                                       momentum_field(quadratic_action(c=0.5, b=0.5)),
+                                       None),
+}
+
+
+@pytest.mark.parametrize("case", list(REPORT_CASES))
+def test_stacked_verifier_matches_the_per_probe_loop(case):
+    # NumPy's array pow differs from the scalar g ** c in the last bit for
+    # some g; an array g ** c changes mis-set-c's conformality at seed 2, and
+    # an array g ** b power-law's invariance at seed 1.
+    action, H, probe = REPORT_CASES[case]()
+    for seed in range(3):
+        report = verify_scaling_symmetry(action, H, samples=32, seed=seed, probe=probe)
+        expected = per_probe_residuals(action, H, 32, seed, probe)
+        assert [c.name for c in report.checks] == list(expected)
+        for check in report.checks:
+            assert _same_bits(check.max_residual, expected[check.name]), check.name
+
+
+def test_rel_skips_a_nan_scale_as_pythons_max_does():
+    err = np.array([1.0, 2.0, 3.0, np.nan, 4.0])
+    h1 = np.array([np.nan, -5.0, 0.5, 2.0, np.inf])
+    h0 = np.array([3.0, np.nan, np.nan, 1.0, -2.0])
+    expected = [_rel_one(e, a, b) for e, a, b in zip(err, h1, h0)]
+    assert _same_bits(_rel(err, h1, h0), expected)
+    assert _same_bits(expected[:3], [1.0 / 3.0, 2.0 / 5.0, 3.0])

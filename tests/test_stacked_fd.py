@@ -3,7 +3,9 @@
 The solver's residual and the cotangent lift take (B, n) stacks, and each
 row must equal, bit for bit, the same function evaluated on that row alone;
 the Jacobians built from one stacked call must then equal the public,
-row-by-row ``fd_jacobian`` exactly.  Row-by-row references use xi as the
+row-by-row ``fd_jacobian`` exactly.  The core on a stack of base points,
+and its two-probe diagonal for maps that act coordinate by coordinate,
+must equal the core at each point alone.  Row-by-row references use xi as the
 scalar ``x[-1]``, the way a single state is evaluated.
 """
 
@@ -16,6 +18,7 @@ from scalesym import (
     CollisionDetected,
     FD_STEP,
     NBodySpec,
+    PhasePoint,
     ScalingAction,
     SolverDidNotConverge,
     anisotropic_kepler_system,
@@ -30,7 +33,8 @@ from scalesym import (
 from scalesym import equilibria
 from scalesym.cli import _random_start
 from scalesym.equilibria import _solver_residual
-from scalesym.phase import _fd_stack_jacobian
+from scalesym.errors import NonFiniteValue
+from scalesym.phase import _fd_diagonal, _fd_stack_jacobian
 from scalesym.scaling import _lift
 
 from conftest import kepler_action, quadratic_action, random_phase_point
@@ -241,3 +245,53 @@ def test_solver_jacobian_calls_the_residual_once_per_iteration(monkeypatch):
     assert result.certified
     stacks = [shape for shape in calls if len(shape) == 2]
     assert stacks == [(14, 6)] * result.iterations
+
+
+def _coupled(w):
+    # couples the coordinates of a row; + - * / only, so no SIMD tail to differ
+    a, b, c = w[..., 0], w[..., 1], w[..., 2]
+    return np.stack((a * b + c, b * b * c, a / (1.0 + c * c), a - b), axis=-1)
+
+
+def test_fd_core_on_a_stack_of_base_points_is_each_points_jacobian():
+    X = np.random.default_rng(4).uniform(-2.0, 2.0, (2, 5, 3))
+    stacked = _fd_stack_jacobian(_coupled, X)
+    assert stacked.shape == (2, 5, 4, 3)
+    for index in np.ndindex(2, 5):
+        assert np.array_equal(stacked[index], _fd_stack_jacobian(_coupled, X[index]))
+
+
+def test_fd_core_on_a_stack_of_custom_lifts_is_each_points_jacobian():
+    action, rng = quadratic_action(), np.random.default_rng(5)
+    X = rng.uniform(-1.25, 1.25, (6, 4))
+    g = np.exp(rng.uniform(-0.7, 0.7, (6, 1)))
+    stacked = _fd_stack_jacobian(
+        lambda w: np.concatenate(_lift(action, g[:, None], w[..., :2], w[..., 2:]), axis=-1),
+        X)
+    for k in range(6):
+        z = PhasePoint(X[k, :2], X[k, 2:])
+        assert np.array_equal(stacked[k], phase_jacobian_fd(action, float(g[k, 0]), z))
+
+
+@pytest.mark.parametrize("shape", [(7,), (4, 7), (2, 3, 7)])
+def test_fd_diagonal_of_a_coordinatewise_map_is_the_cores_diagonal(shape):
+    def cubic(w):
+        return w * w * w - 2.0 * w + 0.5
+
+    X = np.random.default_rng(6).uniform(-3.0, 3.0, shape)
+    full = _fd_stack_jacobian(cubic, X)
+    assert np.array_equal(_fd_diagonal(cubic, X), np.diagonal(full, axis1=-2, axis2=-1))
+    assert np.count_nonzero(full) == np.count_nonzero(_fd_diagonal(cubic, X))
+
+
+def test_fd_diagonal_raises_where_the_core_does():
+    def capped(w):
+        return np.where(w > 1.0, np.inf, w)
+
+    x = np.array([[0.5, 0.2], [0.3, 1.0]])  # 1.0 + h crosses the cap
+    with pytest.raises(NonFiniteValue):
+        _fd_stack_jacobian(capped, x)
+    with pytest.raises(NonFiniteValue):
+        _fd_diagonal(capped, x)
+    assert np.array_equal(_fd_diagonal(capped, x[:1]),
+                          np.diagonal(_fd_stack_jacobian(capped, x[:1]), axis1=-2, axis2=-1))

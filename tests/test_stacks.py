@@ -4,16 +4,19 @@ row and bit for bit, grad on each row alone.
 flow_jacobian integrates its probes as one stack and relies on this, so
 every in-package field is swept here over random stacks.  The fused
 ``value_and_grad``, which RK4 nodes call, is held to ``value`` and to that
-stacked ``grad`` the same way, and so are the row-by-row momentum map and
-lift that the Noether series and the homothetic check apply to whole
+stacked ``grad`` the same way, and so are ``values``, which the scaling
+verifier reads on its whole probe stack, and the row-by-row momentum map
+and lift that the Noether series and the homothetic check apply to whole
 trajectories.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from scalesym import (
+    CollisionDetected,
     NBodySpec,
     ScalarField,
     ScalingAction,
@@ -25,6 +28,7 @@ from scalesym import (
     nbody_system,
     power_law_system,
 )
+from scalesym import systems
 from scalesym.scaling import _lift, _momentum
 
 from conftest import quadratic_action
@@ -64,10 +68,18 @@ def _stack(draw, n, elements=_coordinates):
             draw(arrays(float, (b, n), elements=_coordinates)))
 
 
+def assert_values_match_rows(field: ScalarField, Q, P):
+    """values on the stack is value at each row alone, bit for bit, and on
+    one state it is value's float."""
+    rows = [field.value(q.copy(), p.copy()) for q, p in zip(Q, P)]
+    assert _bits(field.values(Q, P)) == _bits(rows)
+    assert _bits(field.values(Q[0].copy(), P[0].copy())) == _bits(rows[0])
+
+
 @st.composite
-def _nbody_stacks(draw):
+def _nbody_stacks(draw, max_bodies=6):
     # body k of each row sits within 0.3 of (k, 0, ...), so separations are >= 0.4
-    bodies, dim = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+    bodies, dim = draw(st.integers(2, max_bodies)), draw(st.integers(1, 3))
     masses = draw(st.lists(st.floats(0.1, 5.0), min_size=bodies, max_size=bodies))
     spec = NBodySpec(tuple(masses), dim=dim)
     jitter, P = draw(_stack(spec.n))
@@ -184,6 +196,65 @@ def test_power_law_value_and_grad_is_value_and_grad(data, n, alpha, k):
 @given(st.floats(0.0, 2.0), _stack(1))
 def test_damped_oscillator_value_and_grad_is_value_and_grad(friction, stack):
     assert_fused_matches_separate(damped_oscillator(friction).field, *stack)
+
+
+# --- values: H on a whole stack, the same bits --------------------------------
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_nbody_stacks(max_bodies=20))
+def test_nbody_values_are_each_rows_value(case):
+    spec, Q, P = case
+    assert_values_match_rows(nbody_system(spec).hamiltonian_field(), Q, P)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.floats(0.2, 5.0), _stack(2, elements=_nonzero))
+def test_anisotropic_kepler_values_are_each_rows_value(mu, stack):
+    assert_values_match_rows(anisotropic_kepler_system(mu).hamiltonian_field(), *stack)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.data(), st.integers(1, 4),
+       st.sampled_from([-2.0, -1.0, 1.0, 2.0, 3.0]) | st.floats(-3.0, 3.0).filter(bool),
+       st.floats(-2.0, 2.0))
+def test_power_law_values_are_each_rows_value(data, n, alpha, k):
+    Q, P = data.draw(_stack(n, elements=_nonzero))
+    assert_values_match_rows(power_law_system(n, alpha, k).hamiltonian_field(), Q, P)
+
+
+def test_nbody_values_of_a_stack_is_one_kernel_call(monkeypatch):
+    spec = NBodySpec((1.0, 2.0, 0.5, 1.5), dim=3)
+    field = nbody_system(spec).hamiltonian_field()
+    rng = np.random.default_rng(3)
+    Q = np.arange(spec.n, dtype=float) + rng.uniform(-0.1, 0.1, (8, spec.n))
+    calls = []
+    kernel = systems.nbody_potential_and_gradient
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(systems, "nbody_potential_and_gradient", counted)
+    field.values(Q, rng.uniform(-1.0, 1.0, (8, spec.n)))
+    assert calls == [(8, spec.n)]
+
+
+def test_nbody_values_raise_for_one_colliding_row():
+    spec = NBodySpec((1.0, 1.0, 1.0), dim=2)
+    field = nbody_system(spec).hamiltonian_field()
+    Q = np.tile([0.0, 0.0, 1.0, 0.0, 0.0, 1.0], (4, 1))
+    Q[2, 2:4] = 0.0  # body 1 on body 0 in row 2 only
+    with pytest.raises(CollisionDetected):
+        field.values(Q, np.zeros_like(Q))
+
+
+def test_a_one_state_field_gets_values_row_by_row():
+    # value reduces over its whole argument, so it is right for one state only
+    field = ScalarField(value=lambda q, p: float(q @ q) + float(p.sum()),
+                        grad=lambda q, p: (2.0 * q, np.ones_like(p)))
+    Q, P = np.random.default_rng(5).normal(size=(2, 6, 3))
+    assert_values_match_rows(field, Q, P)
+    assert field.values(Q.reshape(2, 3, 3), P.reshape(2, 3, 3)).shape == (2, 3)
 
 
 # --- whole trajectories: momentum map and lift, row by row --------------------
