@@ -18,7 +18,6 @@ from scalesym import (
     CollisionDetected,
     FD_STEP,
     NBodySpec,
-    PhasePoint,
     ScalingAction,
     SolverDidNotConverge,
     anisotropic_kepler_system,
@@ -259,18 +258,6 @@ def test_fd_core_on_a_stack_of_base_points_is_each_points_jacobian():
     assert stacked.shape == (2, 5, 4, 3)
     for index in np.ndindex(2, 5):
         assert np.array_equal(stacked[index], _fd_stack_jacobian(_coupled, X[index]))
-
-
-def test_fd_core_on_a_stack_of_custom_lifts_is_each_points_jacobian():
-    action, rng = quadratic_action(), np.random.default_rng(5)
-    X = rng.uniform(-1.25, 1.25, (6, 4))
-    g = np.exp(rng.uniform(-0.7, 0.7, (6, 1)))
-    stacked = _fd_stack_jacobian(
-        lambda w: np.concatenate(_lift(action, g[:, None], w[..., :2], w[..., 2:]), axis=-1),
-        X)
-    for k in range(6):
-        z = PhasePoint(X[k, :2], X[k, 2:])
-        assert np.array_equal(stacked[k], phase_jacobian_fd(action, float(g[k, 0]), z))
 
 
 @pytest.mark.parametrize("shape", [(7,), (4, 7), (2, 3, 7)])
