@@ -49,11 +49,7 @@ from .phase import (
     FD_STEP,
     PhasePoint,
     ScalarField,
-    TangentVector,
-    canonical_omega,
-    canonical_theta,
     check_gradient,
-    conformal_vector_field,
     fd_gradient,
     fd_jacobian,
     omega_matrix,

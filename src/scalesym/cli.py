@@ -287,7 +287,7 @@ def cmd_verify(args) -> int:
 def _expanding_state(built: BuiltSystem, seed: int) -> PhasePoint:
     # A random separated configuration q (the solve-cc start) with p = M xi q.
     # It is not a central configuration, so nothing keeps a long window
-    # collision-free (ROADMAP item 2).
+    # collision-free (ROADMAP item 3).
     system, action = built.system, built.action
     q = _random_start(system, np.random.default_rng(seed))
     try:
@@ -309,6 +309,9 @@ def cmd_integrate(args) -> int:
         flat = np.asarray(default_z0, dtype=float)
     else:
         raise SchemaError("no initial state: pass --init or put 'z0' in the spec")
+    if built.action is not None and len(flat) != 2 * built.action.n:
+        raise DimensionMismatch(f"initial state has {len(flat)} values, "
+                                f"expected 2n = {2 * built.action.n}")
 
     traj = integrate(field, c, PhasePoint.from_flat(flat), args.t_final,
                      args.dt, action=built.action)
@@ -319,6 +322,8 @@ def cmd_integrate(args) -> int:
 
 def cmd_homothetic(args) -> int:
     re_doc = _load_json(args.re)
+    if not isinstance(re_doc, dict):
+        raise SchemaError("relative-equilibrium JSON must be an object")
     for key in ("q", "xi", "system"):
         if key not in re_doc:
             raise SchemaError(f"relative-equilibrium JSON lacks {key!r}")

@@ -2,7 +2,9 @@
 
 The integrator is classical fixed-step RK4 on the conformal vector field
 
-    q' = dF/dp,    p' = -dF/dq + c p.
+    q' = dF/dp,    p' = -dF/dq + c p,
+
+evaluated by ``phase._conformal_field`` at every node and stage.
 
 Fixed stepping keeps the time-t flow map a smooth function of the initial
 state, so its Jacobian can be taken by central differences and tested
@@ -33,9 +35,10 @@ the final node adds one more: 4m + 1 calls for m steps.  Unrecorded
 4m calls.  For the n-body Hamiltonian each call is one kernel call.
 
 Each trajectory carries per-step diagnostics: the conformal Hamiltonian H,
-the dilation momentum J, K = theta(X)/2 (the kinetic energy for simple
-mechanical systems), and the running trapezoid quadrature of theta(X),
-which feeds the generalized Noether constant
+the momentum J (the action's ``momentum_map``, or p . q without one),
+K = theta(X)/2 (the kinetic energy for simple mechanical systems), and the
+running trapezoid quadrature of theta(X), which feeds the generalized
+Noether constant
 
     F = J + b H t - c * int_0^t theta(X_H) dt.
 """
@@ -47,9 +50,9 @@ import numpy as np
 
 from .errors import BlowupWindow, DimensionMismatch, NonFiniteValue, SchemaError, \
     UncertifiedInput
-from .phase import PhasePoint, ScalarField, _dot_rows, _fd_stack_jacobian, \
-    omega_matrix
-from .scaling import ScalingAction, _lift, _momentum
+from .phase import PhasePoint, ScalarField, _conformal_field, _dot_rows, \
+    _fd_stack_jacobian, omega_matrix
+from .scaling import ScalingAction, act_phase, momentum_map
 
 
 @dataclass(frozen=True)
@@ -133,36 +136,24 @@ def _rk4(F: ScalarField, c: float, y: np.ndarray, m: int, dt: float,
     one evaluation is ``F.value_and_grad``, and node(k, y, X(y), F(y)) sees
     it: m + 1 node calls and 3m stage calls of ``F.grad``, 4m + 1 in all.
     Without one, nodes call ``F.grad`` and the final node, which no step
-    needs, is not evaluated: 4m calls.  F.grad must return arrays shaped
-    like its arguments; a field written for one state that drops the stack
-    axis raises DimensionMismatch."""
+    needs, is not evaluated: 4m calls.  X is ``_conformal_field``, so F.grad
+    must return arrays shaped like its arguments; a field written for one
+    state that drops the stack axis raises DimensionMismatch."""
     n = y.shape[-1] // 2
-
-    def X(y: np.ndarray, grad=None) -> np.ndarray:  # grad: F's at y, if known
-        q, p = y[..., :n], y[..., n:]
-        if grad is None:
-            grad = F.grad(q, p)
-        gq, gp = (np.asarray(g, float) for g in grad)
-        if gq.shape != q.shape or gp.shape != p.shape:
-            raise DimensionMismatch(
-                f"grad returned shapes {gq.shape}, {gp.shape} for states of "
-                f"shape {q.shape}")
-        return np.concatenate((gp, -gq + c * p), axis=-1)
-
     for k in range(m + 1):
         if k:
-            k2 = X(y + 0.5 * dt * ydot)
-            k3 = X(y + 0.5 * dt * k2)
-            k4 = X(y + dt * k3)
+            k2 = _conformal_field(F, c, y + 0.5 * dt * ydot)
+            k3 = _conformal_field(F, c, y + 0.5 * dt * k2)
+            k4 = _conformal_field(F, c, y + dt * k3)
             y = y + (dt / 6.0) * (ydot + 2 * k2 + 2 * k3 + k4)
         if not np.isfinite(y).all():
             raise NonFiniteValue(f"state became non-finite at t={k * dt}")
         if node is not None:
             value, grad = F.value_and_grad(y[..., :n], y[..., n:])
-            ydot = X(y, grad)
+            ydot = _conformal_field(F, c, y, grad)
             node(k, y, ydot, value)
         elif k < m:
-            ydot = X(y)
+            ydot = _conformal_field(F, c, y)
     return y
 
 
@@ -191,7 +182,7 @@ def integrate(F: ScalarField, c: float, z0: PhasePoint, t_final: float,
         theta_rate[k] = float(p @ ydot[:n])
 
     _rk4(F, c, z0.flat(), m, dt, record)
-    momentum = _momentum(action, qs, ps) if action is not None else _dot_rows(ps, qs)
+    momentum = momentum_map(action, qs, ps) if action is not None else _dot_rows(ps, qs)
     trapezoids = 0.5 * dt * (theta_rate[:-1] + theta_rate[1:])
     return Trajectory(times=np.arange(m + 1) * dt, qs=qs, ps=ps, energy=energy,
                       momentum=momentum, kinetic=theta_rate / 2.0,
@@ -258,7 +249,7 @@ def noether_series(action: ScalingAction, traj: Trajectory) -> NoetherSeries:
     """The conserved combination F = J + b H t - c int theta(X_H) dt along a
     Hamiltonian (c = 0) trajectory, and its max drift from F(0).
     """
-    J = _momentum(action, traj.qs, traj.ps)
+    J = momentum_map(action, traj.qs, traj.ps)
     F = J + action.b * traj.energy * traj.times - action.c * traj.int_theta
     return NoetherSeries(values=F, drift=float(np.max(np.abs(F - F[0]))))
 
@@ -303,7 +294,7 @@ def verify_homothetic_orbit(H: ScalarField, action: ScalingAction, re,
     # Blocks of 128 rows: a few (128, 2n) temporaries, not whole-trajectory ones.
     for k in range(0, len(traj), 128):
         rows = slice(k, k + 128)
-        ref = np.concatenate(_lift(action, eta[rows, None], z_e.q, z_e.p), axis=-1)
+        ref = np.concatenate(act_phase(action, eta[rows, None], z_e.q, z_e.p), axis=-1)
         diff = np.concatenate((traj.qs[rows], traj.ps[rows]), axis=-1)
         diff -= ref
         # Row norms as np.linalg.norm takes one vector's: sqrt of its BLAS dot.

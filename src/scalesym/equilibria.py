@@ -31,6 +31,7 @@ from .scaling import (
     ScalingAction,
     generator_config,
     generator_config_jacobian,
+    momentum_map,
     verify_scaling_symmetry,
 )
 
@@ -49,7 +50,9 @@ class SimpleMechanicalSystem:
     row alone.  ``alpha`` declares the homogeneity degree of U under uniform
     dilation when known.  ``masses``/``dim`` are set for point-particle
     systems whose configuration is bodies x dim flattened; they switch on
-    the center-of-mass constraint in the solver.
+    the center-of-mass constraint in the solver.  ``hamiltonian_field()``
+    gives H = (1/2) p . M^{-1} p + U as a ScalarField, its formula written
+    once, in ``_energy``.
     """
 
     mass_matrix: np.ndarray
@@ -108,36 +111,31 @@ class SimpleMechanicalSystem:
             return p / self._mass_diagonal
         return np.linalg.solve(self.mass_matrix, p[..., None])[..., 0]
 
-    def kinetic(self, p) -> float:
+    def _energy(self, p, u):
+        """H = (1/2) p . M^{-1} p + u for the potential's value u at q: a
+        float for one state, row by row for (..., n) stacks."""
         p = np.asarray(p, dtype=float)
-        return 0.5 * float(p @ self._inverse_mass(p))
-
-    def hamiltonian(self, z: PhasePoint) -> float:
-        return self._energy(z.q, z.p)
-
-    def _energy(self, q, p) -> float:
-        return self.kinetic(p) + float(self.potential(q))
+        return 0.5 * _dot_rows(p, self._inverse_mass(p)) + u
 
     def hamiltonian_field(self) -> ScalarField:
+        def value(q, p) -> float:
+            return self._energy(p, float(self.potential(q)))
+
         def grad(q, p):
             return (np.asarray(self.potential_gradient(q), dtype=float),
                     self._inverse_mass(p))
 
-        if self.potential_and_gradient is None:
-            return ScalarField(value=self._energy, grad=grad)
+        both = self.potential_and_gradient
+        if both is None:
+            return ScalarField(value=value, grad=grad)
 
-        def value_and_grad(q, p):  # _energy's expression, on one evaluation of U
-            u, grad_u = self.potential_and_gradient(q)
-            return (self.kinetic(p) + float(u),
+        def value_and_grad(q, p):  # one evaluation of U
+            u, grad_u = both(q)
+            return (self._energy(p, float(u)),
                     (np.asarray(grad_u, dtype=float), self._inverse_mass(p)))
 
-        def values(q, p):  # _energy's expression, row by row from one evaluation of U
-            p = np.asarray(p, dtype=float)
-            return (0.5 * _dot_rows(p, self._inverse_mass(p))
-                    + self.potential_and_gradient(q)[0])
-
-        return ScalarField(value=self._energy, grad=grad,
-                           value_and_grad=value_and_grad, values=values)
+        return ScalarField(value=value, grad=grad, value_and_grad=value_and_grad,
+                           values=lambda q, p: self._energy(p, both(q)[0]))
 
 
 @dataclass(frozen=True)
@@ -200,8 +198,8 @@ def augmented_kinetic(system: SimpleMechanicalSystem, action: ScalingAction,
 def augmented_hamiltonian(system: SimpleMechanicalSystem, action: ScalingAction,
                           xi: float, z: PhasePoint) -> float:
     """H_xi = H - xi J; equals K_xi + U_xi pointwise."""
-    J = float(z.p @ generator_config(action, 1.0, z.q))
-    return system.hamiltonian(z) - xi * J
+    return (system.hamiltonian_field().value(z.q, z.p)
+            - xi * momentum_map(action, z.q, z.p))
 
 
 def momentum_from_config(system: SimpleMechanicalSystem, action: ScalingAction,

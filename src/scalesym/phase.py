@@ -6,7 +6,7 @@ fixed once for the whole package:
     theta = p dq,        omega = -d theta = dq ^ dp,
 
 so that on tangent vectors stacked as (dq, dp) the symplectic form is the
-block matrix
+block matrix ``omega_matrix(n)``
 
     Omega = [[ 0,  I],
              [-I,  0]],
@@ -17,11 +17,14 @@ vector field with parameter c is the unique X satisfying
     i_X omega + c theta = dF,
 
 which in these coordinates reads X = (dF/dp, -dF/dq + c p).  With c = 0
-this is the ordinary Hamiltonian vector field.
+this is the ordinary Hamiltonian vector field.  ``_conformal_field``
+evaluates it on flat states y = (q, p) or (..., 2n) stacks of them; the
+RK4 loop calls it at every node and stage, and the scaling verifier's
+momentum-map check reads X_{J_xi}^{xi c} from it.
 
-``PhasePoint`` and ``TangentVector`` are validated once, where a state
-enters or leaves the public API; inner loops (RK4 stages, finite-difference
-probes, per-row momenta and lifts) pass a ``ScalarField`` bare (q, p) arrays.
+``PhasePoint`` is validated once, where a state enters or leaves the
+public API; inner loops (RK4 stages, finite-difference probes, per-row
+momenta and lifts) pass a ``ScalarField`` bare (q, p) arrays.
 A field's ``grad`` also takes stacks: q and p of shape (..., n), one state
 per row, with every row computed as if it came alone.  That is what lets
 ``flow_jacobian`` integrate all of its probes at once.  Where both the
@@ -95,35 +98,6 @@ class PhasePoint:
         z = np.asarray(z, dtype=float)
         n = len(z) // 2
         return PhasePoint(z[:n], z[n:])
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """A tangent vector (dq, dp) at some phase point."""
-
-    dq: np.ndarray
-    dp: np.ndarray
-
-    def __post_init__(self):
-        dq = _as_finite_vector(self.dq, "dq")
-        dp = _as_finite_vector(self.dp, "dp")
-        if len(dq) != len(dp):
-            raise DimensionMismatch(f"len(dq)={len(dq)} != len(dp)={len(dp)}")
-        object.__setattr__(self, "dq", dq)
-        object.__setattr__(self, "dp", dp)
-
-    @property
-    def n(self) -> int:
-        return len(self.dq)
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate((self.dq, self.dp))
-
-    @staticmethod
-    def from_flat(v) -> "TangentVector":
-        v = np.asarray(v, dtype=float)
-        n = len(v) // 2
-        return TangentVector(v[:n], v[n:])
 
 
 @dataclass(frozen=True)
@@ -215,28 +189,26 @@ def omega_matrix(n: int) -> np.ndarray:
     return np.block([[zero, eye], [-eye, zero]])
 
 
-def canonical_theta(z: PhasePoint, v: TangentVector) -> float:
-    """Liouville one-form theta = p dq evaluated at z on v."""
-    if z.n != v.n:
-        raise DimensionMismatch(f"phase point n={z.n} vs tangent vector n={v.n}")
-    return float(z.p @ v.dq)
+def _conformal_field(F: ScalarField, c, y: np.ndarray, grad=None) -> np.ndarray:
+    """X_F^c = (dF/dp, -dF/dq + c p) at the flat state y = (q, p), or row by
+    row on a (..., 2n) stack of them, with c a float or a (..., 1) column.
 
-
-def canonical_omega(u: TangentVector, v: TangentVector) -> float:
-    """Canonical two-form omega = dq ^ dp on a pair of tangent vectors."""
-    if u.n != v.n:
-        raise DimensionMismatch(f"tangent vector dims {u.n} vs {v.n}")
-    return float(u.dq @ v.dp - u.dp @ v.dq)
-
-
-def conformal_vector_field(F: ScalarField, c: float, z: PhasePoint) -> TangentVector:
-    """The conformal Hamiltonian vector field (dF/dp, -dF/dq + c p) at z."""
-    gq, gp = F.grad(z.q, z.p)
-    gq = np.asarray(gq, dtype=float)
-    gp = np.asarray(gp, dtype=float)
-    if not (np.isfinite(gq).all() and np.isfinite(gp).all()):
-        raise NonFiniteValue("gradient of F is not finite at z")
-    return TangentVector(gp, -gq + c * z.p)
+    grad is F's gradient at y when it is already known, and F is then not
+    called.  The gradient must come back shaped like the states; a field
+    written for one state that drops the stack axis raises
+    DimensionMismatch.  Finiteness is left to the caller (RK4 checks each
+    node).
+    """
+    n = y.shape[-1] // 2
+    q, p = y[..., :n], y[..., n:]
+    if grad is None:
+        grad = F.grad(q, p)
+    gq, gp = (np.asarray(g, float) for g in grad)
+    if gq.shape != q.shape or gp.shape != p.shape:
+        raise DimensionMismatch(
+            f"grad returned shapes {gq.shape}, {gp.shape} for states of "
+            f"shape {q.shape}")
+    return np.concatenate((gp, -gq + c * p), axis=-1)
 
 
 def _fd_steps(x) -> np.ndarray:

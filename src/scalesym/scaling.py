@@ -14,7 +14,12 @@ For the Lie algebra element xi (a plain real), the lifted generator is
     (xi_Q(q), (c xi Id - (D xi_Q(q))^T) p),
 
 and the momentum map J(q, p) = p . xi_Q(q)|_{xi=1} generates it as a
-conformal Hamiltonian with parameter c xi.  ``verify_scaling_symmetry``
+conformal Hamiltonian with parameter c xi.  The lift, the lifted generator
+and J are ``act_phase(action, g, q, p) -> (q', p')``,
+``generator_phase(action, xi, q, p) -> (dq, dp)`` and
+``momentum_map(action, q, p) -> J``, on bare coordinate arrays: one state,
+or (..., n) stacks with g or xi a float or a (..., 1) column, each row
+computed as if it came alone.  ``verify_scaling_symmetry``
 certifies numerically that a given (action, Hamiltonian) pair is a
 scaling symmetry: conformality of the lift, conformal invariance of H,
 the momentum-map identity, the scaling-function property of J, and
@@ -23,9 +28,7 @@ each check once on the whole probe stack: one stacked lift, one
 ``ScalarField.values`` call for H at the probes and the lifted probes,
 stacked gradients of J and generators, and, for a dilation, conformality
 read from the diagonal of the lift's central-difference Jacobian, the
-only entries that are not exactly 0.  The lifts, generators and momenta
-take (..., n) stacks, with g or xi a (..., 1) column; each row is
-computed as if it came alone.
+only entries that are not exactly 0.
 """
 
 from dataclasses import dataclass
@@ -37,7 +40,7 @@ from .errors import CollisionDetected, DimensionMismatch, NonFiniteValue, Schema
 from .phase import (
     PhasePoint,
     ScalarField,
-    TangentVector,
+    _conformal_field,
     _dot_rows,
     _fd_diagonal,
     _fd_stack_jacobian,
@@ -144,9 +147,12 @@ def config_jacobian(action: ScalingAction, g: float, q) -> np.ndarray:
     return np.asarray(action.dpsi(g, q), dtype=float)
 
 
-def _lift(action: ScalingAction, g, q, p) -> tuple[np.ndarray, np.ndarray]:
-    """act_phase on bare coordinate arrays, or row by row on (..., n) stacks,
-    with g a float or a (..., 1) column of group elements (one per row)."""
+def act_phase(action: ScalingAction, g, q, p) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled cotangent lift: (Psi_g(q), g^c (D Psi_g(q))^{-T} p).
+
+    One state, or row by row on (..., n) stacks, with g a float or a
+    (..., 1) column of group elements (one per row).
+    """
     if np.any(np.asarray(g) <= 0):
         raise ValueError(f"group element must be positive, got g={g}")
     if action.is_dilation:
@@ -163,11 +169,6 @@ def _lift(action: ScalingAction, g, q, p) -> tuple[np.ndarray, np.ndarray]:
     lead = np.broadcast_shapes(g.shape[:-1], np.shape(q)[:-1])
     return _map_rows(lift_one, *(np.broadcast_to(x, lead + np.shape(x)[-1:])
                                  for x in (g, q, p)))
-
-
-def act_phase(action: ScalingAction, g: float, z: PhasePoint) -> PhasePoint:
-    """Scaled cotangent lift: (Psi_g(q), g^c (D Psi_g(q))^{-T} p)."""
-    return PhasePoint(*_lift(action, g, z.q, z.p))
 
 
 def generator_config(action: ScalingAction, xi: float, q) -> np.ndarray:
@@ -199,31 +200,26 @@ def _transpose_times(a, v) -> np.ndarray:
     return (np.swapaxes(a, -1, -2) @ np.asarray(v)[..., None])[..., 0]
 
 
-def _generator(action: ScalingAction, xi: float, q, p) -> tuple[np.ndarray, np.ndarray]:
-    """generator_phase on bare coordinate arrays, or row by row on (..., n)
-    stacks with xi a float or a (..., 1) column."""
+def generator_phase(action: ScalingAction, xi, q, p) -> tuple[np.ndarray, np.ndarray]:
+    """Lifted generator (xi_Q(q), (c xi Id - (D xi_Q(q))^T) p).
+
+    One state, or row by row on (..., n) stacks with xi a float or a
+    (..., 1) column.
+    """
+    p = np.asarray(p, dtype=float)
     dq = generator_config(action, xi, q)
     djac = generator_config_jacobian(action, xi, q)
     return dq, action.c * xi * p - _transpose_times(djac, p)
 
 
-def generator_phase(action: ScalingAction, xi: float, z: PhasePoint) -> TangentVector:
-    """Lifted generator (xi_Q(q), (c xi Id - (D xi_Q(q))^T) p)."""
-    return TangentVector(*_generator(action, xi, z.q, z.p))
-
-
-def _momentum(action: ScalingAction, q, p) -> float:
-    """momentum_map on bare coordinate arrays, or row by row on (..., n)
-    stacks, each row the float of that row alone."""
-    return _dot_rows(p, generator_config(action, 1.0, q))
-
-
-def momentum_map(action: ScalingAction, z: PhasePoint) -> float:
+def momentum_map(action: ScalingAction, q, p) -> float:
     """Conformal momentum map J(q, p) = p . xi_Q(q) at xi = 1.
 
-    The conformal momentum function for general xi is J_xi = xi * J.
+    The conformal momentum function for general xi is J_xi = xi * J.  A
+    float for one state; a (...) array for (..., n) stacks, each entry the
+    float of that row alone.
     """
-    return _momentum(action, z.q, z.p)
+    return _dot_rows(p, generator_config(action, 1.0, q))
 
 
 def _momentum_grad(action: ScalingAction, xi, q, p) -> tuple[np.ndarray, np.ndarray]:
@@ -237,7 +233,7 @@ def momentum_field(action: ScalingAction, xi: float = 1.0) -> ScalarField:
     """J_xi as a ScalarField with analytic gradient."""
 
     def value(q, p) -> float:
-        return xi * _momentum(action, q, p)
+        return xi * momentum_map(action, q, p)
 
     return ScalarField(value=value, grad=lambda q, p: _momentum_grad(action, xi, q, p))
 
@@ -312,9 +308,9 @@ def _rel(err, *scales):
 
 
 def _lift_flat(action: ScalingAction, g, w) -> np.ndarray:
-    """_lift on flat (..., 2n) phase coordinates (q_1..q_n, p_1..p_n)."""
+    """act_phase on flat (..., 2n) phase coordinates (q_1..q_n, p_1..p_n)."""
     n = action.n
-    return np.concatenate(_lift(action, g, w[..., :n], w[..., n:]), axis=-1)
+    return np.concatenate(act_phase(action, g, w[..., :n], w[..., n:]), axis=-1)
 
 
 def phase_jacobian_fd(action: ScalingAction, g: float, z: PhasePoint) -> np.ndarray:
@@ -395,24 +391,23 @@ def verify_scaling_symmetry(action: ScalingAction, H: ScalarField,
         defect = np.nan
     residuals["conformality"] = _rel(defect, g_c)
 
-    q_g, p_g = _lift(action, g, q, p)
+    q_g, p_g = act_phase(action, g, q, p)
     h = H.values(np.concatenate((q, q_g)), np.concatenate((p, p_g)))
     h0, h1 = h[:samples], h[samples:]
     residuals["invariance"] = _rel(np.abs(h1 - g_b * h0), h1, g_b * h0)
 
-    # X_{J_xi}^{xi c} = (dJ_xi/dp, -dJ_xi/dq + xi c p)
-    gq, gp = _momentum_grad(action, xi, q, p)
-    xv = np.concatenate((gp, -gq + (xi * action.c) * p), axis=-1)
-    gen = np.concatenate(_generator(action, xi, q, p), axis=-1)
+    xv = _conformal_field(momentum_field(action, xi), xi * action.c,
+                          np.concatenate((q, p), axis=-1))  # X_{J_xi}^{xi c}
+    gen = np.concatenate(generator_phase(action, xi, q, p), axis=-1)
     residuals["momentum-map"] = _rel(np.max(np.abs(xv - gen), axis=-1),
                                      np.max(np.abs(gen), axis=-1))
 
-    j0 = _momentum(action, q, p)
+    j0 = momentum_map(action, q, p)
     gq, gp = _momentum_grad(action, 1.0, q, p)
     directional = _dot_rows(gq, gp) + _dot_rows(gp, -gq + action.c * p)  # dJ . X_J^c
     residuals["scaling-function"] = _rel(np.abs(directional - action.c * j0), j0)
 
-    j1 = _momentum(action, q_g, p_g)
+    j1 = momentum_map(action, q_g, p_g)
     residuals["momentum-invariance"] = _rel(np.abs(j1 - g_c * j0), j1, j0)
 
     checks = []

@@ -1,5 +1,3 @@
-import collections
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,6 @@ from scalesym import (
     NBodySpec,
     PhasePoint,
     ScalingAction,
-    TangentVector,
     lagrange_triangle,
     nbody_system,
 )
@@ -24,20 +21,19 @@ def random_phase_point(rng, n: int, scale: float = 1.0) -> PhasePoint:
 
 @pytest.fixture
 def phase_point_count(monkeypatch):
-    """count(f, cls=PhasePoint) runs f() and returns how many objects of cls,
-    PhasePoint or TangentVector, it validated."""
-    calls = collections.Counter()
-    for cls in (PhasePoint, TangentVector):
-        def counted(self, cls=cls, validate=cls.__post_init__):
-            calls[cls] += 1
-            validate(self)
+    """count(f) runs f() and returns how many PhasePoints it validated."""
+    calls = [0]
 
-        monkeypatch.setattr(cls, "__post_init__", counted)
+    def counted(self, validate=PhasePoint.__post_init__):
+        calls[0] += 1
+        validate(self)
 
-    def count(f, cls=PhasePoint) -> int:
-        calls.clear()
+    monkeypatch.setattr(PhasePoint, "__post_init__", counted)
+
+    def count(f) -> int:
+        calls[0] = 0
         f()
-        return calls[cls]
+        return calls[0]
 
     return count
 

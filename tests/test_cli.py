@@ -372,6 +372,13 @@ BAD_NUMBERS = {
                          "--t-final", "0", "--out", "bad.json"],
     "xi-not-a-number": ["homothetic", "--re", "re-bad-xi.json", "--out", "bad.json"],
     "q-not-numbers": ["homothetic", "--re", "re-bad-q.json", "--out", "bad.json"],
+    "re-a-string": ["homothetic", "--re", "re-string.json", "--out", "bad.json"],
+    "re-a-number": ["homothetic", "--re", "re-number.json", "--out", "bad.json"],
+    # a 3-body planar spec has n = 6, so a start needs 12 values
+    "init-of-the-wrong-length": ["integrate", "--system", "nbody3.json",
+                                 "--init", "short-init.csv", "--out", "bad.csv"],
+    "z0-of-the-wrong-length": ["integrate", "--system", "nbody3-short-z0.json",
+                               "--out", "bad.csv"],
 }
 
 
@@ -381,6 +388,11 @@ def test_bad_numbers_exit_1_with_one_error_line(workdir, monkeypatch, capsys, ar
     doc = _two_body_re_doc()
     (workdir / "re-bad-xi.json").write_text(json.dumps(doc | {"xi": "abc"}))
     (workdir / "re-bad-q.json").write_text(json.dumps(doc | {"q": ["a"] * 6}))
+    (workdir / "re-string.json").write_text(json.dumps("qxisystem"))
+    (workdir / "re-number.json").write_text(json.dumps(5))
+    (workdir / "short-init.csv").write_text("0.5,0.0,-0.5,0.0\n")
+    (workdir / "nbody3-short-z0.json").write_text(json.dumps(
+        {"type": "nbody", "masses": [1, 1, 1], "dim": 2, "z0": [0.5, 0.0, -0.5, 0.0]}))
     assert main(argv) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -441,7 +441,7 @@ def test_homothetic_deviation_is_the_row_by_row_norm(xi):
     eta = homothetic_factor(action, re.xi, traj.times)
     worst = 0.0
     for k in range(len(traj)):
-        ref = act_phase(action, float(eta[k]), re.phase_point()).flat()
+        ref = np.concatenate(act_phase(action, float(eta[k]), re.q, re.p))
         num = np.concatenate((traj.qs[k], traj.ps[k]))
         dev = float(np.linalg.norm(num - ref)) / max(1.0, float(np.linalg.norm(ref)))
         worst = max(worst, dev)

@@ -8,110 +8,125 @@ from scalesym import (
     NonFiniteValue,
     PhasePoint,
     ScalarField,
-    TangentVector,
-    canonical_omega,
-    canonical_theta,
     check_gradient,
-    conformal_vector_field,
     fd_gradient,
     fd_jacobian,
     momentum_field,
     omega_matrix,
 )
+from scalesym.phase import _conformal_field, _dot_rows
 from scalesym.scaling import ScalingAction
 
 from conftest import random_phase_point
 
 
+# theta and omega on flat states z = (q, p) and flat tangent vectors
+# v = (dq, dp): theta is the p . dq that the package reads as theta(X), and
+# omega pairs u with omega_matrix(n) v, summed over the dq and dp blocks.
+
+def theta(z, v) -> float:
+    n = len(z) // 2
+    return _dot_rows(z[n:], v[:n])
+
+
+def omega(u, v) -> float:
+    n = len(u) // 2
+    w = omega_matrix(n) @ v
+    return _dot_rows(u[:n], w[:n]) + _dot_rows(u[n:], w[n:])
+
+
+def flat(*parts) -> np.ndarray:
+    return np.concatenate([np.asarray(x, dtype=float) for x in parts])
+
+
 def test_theta_hand_value():
-    z = PhasePoint([1.0, 2.0], [3.0, 4.0])
-    v = TangentVector([1.0, 0.0], [7.0, 7.0])
-    assert canonical_theta(z, v) == 3.0
+    z = flat([1.0, 2.0], [3.0, 4.0])
+    v = flat([1.0, 0.0], [7.0, 7.0])
+    assert theta(z, v) == 3.0
 
 
 def test_theta_zero_momentum():
-    z = PhasePoint([2.0, -1.0, 5.0], [0.0, 0.0, 0.0])
-    v = TangentVector([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
-    assert canonical_theta(z, v) == 0.0
+    z = flat([2.0, -1.0, 5.0], [0.0, 0.0, 0.0])
+    v = flat([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
+    assert theta(z, v) == 0.0
 
 
 def test_theta_ignores_dp():
-    z = PhasePoint([1.0, 1.0], [9.0, -3.0])
-    v = TangentVector([0.0, 0.0], [100.0, 100.0])
-    assert canonical_theta(z, v) == 0.0
+    z = flat([1.0, 1.0], [9.0, -3.0])
+    v = flat([0.0, 0.0], [100.0, 100.0])
+    assert theta(z, v) == 0.0
 
 
 def test_omega_basis_pair():
-    u = TangentVector([1.0, 0.0], [0.0, 0.0])
-    v = TangentVector([0.0, 0.0], [1.0, 0.0])
-    assert canonical_omega(u, v) == 1.0
-    assert canonical_omega(v, u) == -1.0
+    u = flat([1.0, 0.0], [0.0, 0.0])
+    v = flat([0.0, 0.0], [1.0, 0.0])
+    assert omega(u, v) == 1.0
+    assert omega(v, u) == -1.0
 
 
 def test_omega_vanishes_on_diagonal():
     rng = np.random.default_rng(0)
     for _ in range(10):
-        u = TangentVector(rng.normal(size=4), rng.normal(size=4))
-        assert canonical_omega(u, u) == 0.0
+        u = flat(rng.normal(size=4), rng.normal(size=4))
+        assert omega(u, u) == 0.0
 
 
 def test_omega_antisymmetric_bilinear():
     rng = np.random.default_rng(1)
     for _ in range(25):
-        u = TangentVector(rng.normal(size=3), rng.normal(size=3))
-        v = TangentVector(rng.normal(size=3), rng.normal(size=3))
-        w = TangentVector(rng.normal(size=3), rng.normal(size=3))
+        u = flat(rng.normal(size=3), rng.normal(size=3))
+        v = flat(rng.normal(size=3), rng.normal(size=3))
+        w = flat(rng.normal(size=3), rng.normal(size=3))
         a, b = rng.normal(size=2)
-        assert canonical_omega(u, v) == pytest.approx(-canonical_omega(v, u), abs=1e-14)
-        combo = TangentVector(a * v.dq + b * w.dq, a * v.dp + b * w.dp)
-        assert canonical_omega(u, combo) == pytest.approx(
-            a * canonical_omega(u, v) + b * canonical_omega(u, w), abs=1e-12)
+        assert omega(u, v) == pytest.approx(-omega(v, u), abs=1e-14)
+        combo = a * v + b * w
+        assert omega(u, combo) == pytest.approx(
+            a * omega(u, v) + b * omega(u, w), abs=1e-12)
 
 
 def test_omega_nondegenerate_on_coordinate_basis():
     # every nonzero u pairs nontrivially with some basis vector
     rng = np.random.default_rng(2)
     n = 4
-    basis = [TangentVector.from_flat(e) for e in np.eye(2 * n)]
+    basis = list(np.eye(2 * n))
     for _ in range(20):
-        u = TangentVector.from_flat(rng.normal(size=2 * n))
-        assert max(abs(canonical_omega(u, e)) for e in basis) > 0.0
+        u = rng.normal(size=2 * n)
+        assert max(abs(omega(u, e)) for e in basis) > 0.0
 
 
 def test_omega_matches_matrix():
     rng = np.random.default_rng(3)
     n = 3
-    omega = omega_matrix(n)
+    matrix = omega_matrix(n)
     for _ in range(10):
         u = rng.normal(size=2 * n)
         v = rng.normal(size=2 * n)
-        assert canonical_omega(TangentVector.from_flat(u), TangentVector.from_flat(v)) \
-            == pytest.approx(u @ omega @ v, rel=1e-13)
+        assert omega(u, v) == pytest.approx(u @ matrix @ v, rel=1e-13)
 
 
 def test_conformal_field_kepler_momentum():
     # J_xi = xi p.q with parameter xi c = xi/2 gives (xi q, -xi p / 2)
     action = ScalingAction.uniform_dilation(1, 0.5, -1.0)
     field = momentum_field(action, 1.0)
-    v = conformal_vector_field(field, 0.5, PhasePoint([2.0], [4.0]))
-    assert v.dq == pytest.approx([2.0])
-    assert v.dp == pytest.approx([-2.0])
+    v = _conformal_field(field, 0.5, flat([2.0], [4.0]))
+    assert v[:1] == pytest.approx([2.0])
+    assert v[1:] == pytest.approx([-2.0])
 
 
 def test_conformal_field_free_particle():
     free = ScalarField(value=lambda q, p: 0.5 * float(p @ p),
                        grad=lambda q, p: (np.zeros(len(q)), p.copy()))
-    v = conformal_vector_field(free, 0.0, PhasePoint([3.0, 1.0], [2.0, -1.0]))
-    assert v.dq == pytest.approx([2.0, -1.0])
-    assert v.dp == pytest.approx([0.0, 0.0])
+    v = _conformal_field(free, 0.0, flat([3.0, 1.0], [2.0, -1.0]))
+    assert v[:2] == pytest.approx([2.0, -1.0])
+    assert v[2:] == pytest.approx([0.0, 0.0])
 
 
 def test_conformal_field_damped_oscillator_point():
     osc = ScalarField(value=lambda q, p: 0.5 * float(p @ p) + 0.5 * float(q @ q),
                       grad=lambda q, p: (q.copy(), p.copy()))
-    v = conformal_vector_field(osc, -0.1, PhasePoint([1.0], [2.0]))
-    assert v.dq == pytest.approx([2.0])
-    assert v.dp == pytest.approx([-1.2])
+    v = _conformal_field(osc, -0.1, flat([1.0], [2.0]))
+    assert v[:1] == pytest.approx([2.0])
+    assert v[1:] == pytest.approx([-1.2])
 
 
 def test_defining_identity_hamiltonian_case():
@@ -121,11 +136,11 @@ def test_defining_identity_hamiltonian_case():
     rng = np.random.default_rng(4)
     for _ in range(50):
         z = random_phase_point(rng, 2)
-        v = TangentVector(rng.normal(size=2), rng.normal(size=2))
-        x = conformal_vector_field(osc, 0.0, z)
+        v = flat(rng.normal(size=2), rng.normal(size=2))
+        x = _conformal_field(osc, 0.0, z.flat())
         gq, gp = osc.grad(z.q, z.p)
-        dF_v = gq @ v.dq + gp @ v.dp
-        assert canonical_omega(x, v) == pytest.approx(dF_v, abs=1e-10)
+        dF_v = gq @ v[:2] + gp @ v[2:]
+        assert omega(x, v) == pytest.approx(dF_v, abs=1e-10)
 
 
 def test_defining_identity_conformal_case():
@@ -136,11 +151,11 @@ def test_defining_identity_conformal_case():
     for c in (-0.3, 0.5, 2.0):
         for _ in range(25):
             z = random_phase_point(rng, 3)
-            v = TangentVector(rng.normal(size=3), rng.normal(size=3))
-            x = conformal_vector_field(osc, c, z)
+            v = flat(rng.normal(size=3), rng.normal(size=3))
+            x = _conformal_field(osc, c, z.flat())
             gq, gp = osc.grad(z.q, z.p)
-            dF_v = gq @ v.dq + gp @ v.dp
-            assert canonical_omega(x, v) + c * canonical_theta(z, v) \
+            dF_v = gq @ v[:3] + gp @ v[3:]
+            assert omega(x, v) + c * theta(z.flat(), v) \
                 == pytest.approx(dF_v, abs=1e-10)
 
 
@@ -228,12 +243,6 @@ def test_scalar_field_from_value():
 
 
 def test_dimension_mismatch_raises():
-    z = PhasePoint([1.0], [2.0])
-    v = TangentVector([1.0, 0.0], [0.0, 0.0])
-    with pytest.raises(DimensionMismatch):
-        canonical_theta(z, v)
-    with pytest.raises(DimensionMismatch):
-        canonical_omega(v, TangentVector([1.0], [0.0]))
     with pytest.raises(DimensionMismatch):
         PhasePoint([1.0, 2.0], [3.0])
 
@@ -241,12 +250,3 @@ def test_dimension_mismatch_raises():
 def test_nonfinite_phase_point_rejected():
     with pytest.raises(NonFiniteValue):
         PhasePoint([np.nan], [1.0])
-    with pytest.raises(NonFiniteValue):
-        TangentVector([1.0], [np.inf])
-
-
-def test_conformal_field_rejects_nonfinite_gradient():
-    bad = ScalarField(value=lambda q, p: 0.0,
-                      grad=lambda q, p: (np.full(len(q), np.nan), p.copy()))
-    with pytest.raises(NonFiniteValue):
-        conformal_vector_field(bad, 0.0, PhasePoint([1.0], [1.0]))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scalesym import (
     NBodySpec,
@@ -10,8 +11,6 @@ from scalesym import (
     ScalingAction,
     act_config,
     act_phase,
-    canonical_theta,
-    conformal_vector_field,
     generator_config,
     generator_phase,
     lift_exponent,
@@ -24,9 +23,9 @@ from scalesym import (
     verify_scaling_symmetry,
 )
 from scalesym.errors import NonFiniteValue
-from scalesym.phase import TangentVector, _worst
-from scalesym.scaling import _conformality_defects, _default_probe, _lift, _momentum, \
-    _rel, generator_config_jacobian
+from scalesym.phase import _conformal_field, _dot_rows, _worst
+from scalesym.scaling import _conformality_defects, _default_probe, _rel, \
+    generator_config_jacobian
 
 from conftest import kepler_action, quadratic_action, random_phase_point
 
@@ -54,7 +53,7 @@ def test_act_config_rejects_nonpositive_g():
     with pytest.raises(ValueError):
         act_config(a, 0.0, [1.0])
     with pytest.raises(ValueError):
-        act_phase(a, -2.0, PhasePoint([1.0], [1.0]))
+        act_phase(a, -2.0, np.array([1.0]), np.array([1.0]))
 
 
 # --- phase-space lift -----------------------------------------------------
@@ -62,24 +61,24 @@ def test_act_config_rejects_nonpositive_g():
 def test_act_phase_kepler_momentum_scaling():
     # momenta scale by g^{c-1} under the uniform lift
     a = kepler_action(2)
-    z = act_phase(a, 4.0, PhasePoint([1.0, 0.0], [1.0, 0.0]))
-    assert z.q == pytest.approx([4.0, 0.0])
-    assert z.p == pytest.approx([0.5, 0.0])
+    q, p = act_phase(a, 4.0, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    assert q == pytest.approx([4.0, 0.0])
+    assert p == pytest.approx([0.5, 0.0])
 
 
 def test_act_phase_identity():
     a = kepler_action(2)
-    z0 = PhasePoint([1.0, 2.0], [3.0, 4.0])
-    z1 = act_phase(a, 1.0, z0)
-    assert z1.q == pytest.approx(z0.q)
-    assert z1.p == pytest.approx(z0.p)
+    q0, p0 = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+    q1, p1 = act_phase(a, 1.0, q0, p0)
+    assert q1 == pytest.approx(q0)
+    assert p1 == pytest.approx(p0)
 
 
 def test_act_phase_weighted_hand_value():
     a = ScalingAction.dilation([1.0, 2.0], c=1.0, b=0.0)
-    z = act_phase(a, 2.0, PhasePoint([1.0, 1.0], [1.0, 1.0]))
-    assert z.q == pytest.approx([2.0, 4.0])
-    assert z.p == pytest.approx([1.0, 0.5])
+    q, p = act_phase(a, 2.0, np.array([1.0, 1.0]), np.array([1.0, 1.0]))
+    assert q == pytest.approx([2.0, 4.0])
+    assert p == pytest.approx([1.0, 0.5])
 
 
 def test_act_phase_group_law():
@@ -89,8 +88,8 @@ def test_act_phase_group_law():
         for _ in range(10):
             z = random_phase_point(rng, action.n)
             g, h = np.exp(rng.uniform(-0.7, 0.7, size=2))
-            lhs = act_phase(action, g * h, z).flat()
-            rhs = act_phase(action, g, act_phase(action, h, z)).flat()
+            lhs = np.concatenate(act_phase(action, g * h, z.q, z.p))
+            rhs = np.concatenate(act_phase(action, g, *act_phase(action, h, z.q, z.p)))
             assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(lhs)))
 
 
@@ -113,22 +112,22 @@ def test_generator_config_weighted():
 
 def test_generator_phase_kepler():
     a = kepler_action(1)
-    v = generator_phase(a, 1.0, PhasePoint([2.0], [4.0]))
-    assert v.dq == pytest.approx([2.0])
-    assert v.dp == pytest.approx([-2.0])
+    dq, dp = generator_phase(a, 1.0, np.array([2.0]), np.array([4.0]))
+    assert dq == pytest.approx([2.0])
+    assert dp == pytest.approx([-2.0])
 
 
 def test_generator_phase_zero_xi():
     a = kepler_action(2)
-    v = generator_phase(a, 0.0, PhasePoint([1.0, 2.0], [3.0, 4.0]))
-    assert v.flat() == pytest.approx(np.zeros(4))
+    v = generator_phase(a, 0.0, np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+    assert np.concatenate(v) == pytest.approx(np.zeros(4))
 
 
 def test_generator_phase_weighted_hand_value():
     a = ScalingAction.dilation([1.0, 2.0], c=1.0, b=0.0)
-    v = generator_phase(a, 1.0, PhasePoint([1.0, 1.0], [1.0, 1.0]))
-    assert v.dq == pytest.approx([1.0, 2.0])
-    assert v.dp == pytest.approx([0.0, -1.0])
+    dq, dp = generator_phase(a, 1.0, np.array([1.0, 1.0]), np.array([1.0, 1.0]))
+    assert dq == pytest.approx([1.0, 2.0])
+    assert dp == pytest.approx([0.0, -1.0])
 
 
 def test_generator_is_flow_derivative():
@@ -139,24 +138,26 @@ def test_generator_is_flow_derivative():
         for xi in (1.0, -0.6):
             z = random_phase_point(rng, action.n)
             t = 1e-6
-            fd = (act_phase(action, float(np.exp(t * xi)), z).flat()
-                  - act_phase(action, float(np.exp(-t * xi)), z).flat()) / (2 * t)
-            gen = generator_phase(action, xi, z).flat()
+            fd = (np.concatenate(act_phase(action, float(np.exp(t * xi)), z.q, z.p))
+                  - np.concatenate(act_phase(action, float(np.exp(-t * xi)), z.q, z.p))
+                  ) / (2 * t)
+            gen = np.concatenate(generator_phase(action, xi, z.q, z.p))
             assert np.max(np.abs(fd - gen)) < 1e-6
 
 
 def test_theta_pullback_scales_by_g_to_c():
-    # theta(Phi_g* v) at Phi_g z = g^c theta(v) at z
+    # theta(Phi_g* v) at Phi_g z = g^c theta(v) at z, with theta = p . dq
     rng = np.random.default_rng(9)
     for action in (kepler_action(3), quadratic_action()):
+        n = action.n
         for _ in range(10):
-            z = random_phase_point(rng, action.n)
-            v = TangentVector(rng.normal(size=action.n), rng.normal(size=action.n))
+            z = random_phase_point(rng, n)
+            v = np.concatenate((rng.normal(size=n), rng.normal(size=n)))
             g = float(np.exp(rng.uniform(-0.7, 0.7)))
             jac = phase_jacobian_fd(action, g, z)
-            pushed = TangentVector.from_flat(jac @ v.flat())
-            lhs = canonical_theta(act_phase(action, g, z), pushed)
-            rhs = g ** action.c * canonical_theta(z, v)
+            pushed = jac @ v
+            lhs = _dot_rows(act_phase(action, g, z.q, z.p)[1], pushed[:n])
+            rhs = g ** action.c * _dot_rows(z.p, v[:n])
             assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs))
 
 
@@ -164,17 +165,17 @@ def test_theta_pullback_scales_by_g_to_c():
 
 def test_momentum_uniform_hand_value():
     a = kepler_action(3)
-    assert momentum_map(a, PhasePoint([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])) == 32.0
+    assert momentum_map(a, np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])) == 32.0
 
 
 def test_momentum_zero_momentum():
     a = kepler_action(2)
-    assert momentum_map(a, PhasePoint([1.0, 2.0], [0.0, 0.0])) == 0.0
+    assert momentum_map(a, np.array([1.0, 2.0]), np.array([0.0, 0.0])) == 0.0
 
 
 def test_momentum_weighted():
     a = ScalingAction.dilation([1.0, 2.0], c=1.0, b=0.0)
-    assert momentum_map(a, PhasePoint([1.0, 1.0], [1.0, 1.0])) == 3.0
+    assert momentum_map(a, np.array([1.0, 1.0]), np.array([1.0, 1.0])) == 3.0
 
 
 def test_momentum_generates_the_lift():
@@ -184,8 +185,8 @@ def test_momentum_generates_the_lift():
     for xi in (1.0, 2.5, -0.3):
         z = random_phase_point(rng, 2)
         field = momentum_field(a, xi)
-        xv = conformal_vector_field(field, xi * a.c, z).flat()
-        gen = generator_phase(a, xi, z).flat()
+        xv = _conformal_field(field, xi * a.c, z.flat())
+        gen = np.concatenate(generator_phase(a, xi, z.q, z.p))
         assert np.max(np.abs(xv - gen)) == 0.0
 
 
@@ -193,8 +194,8 @@ def test_momentum_identity_custom_action_by_fd():
     a = quadratic_action()
     z = PhasePoint([0.7, -0.3], [0.2, 1.1])
     fd_field = ScalarField.from_value(momentum_field(a, 1.0).value)
-    xv = conformal_vector_field(fd_field, a.c, z).flat()
-    gen = generator_phase(a, 1.0, z).flat()
+    xv = _conformal_field(fd_field, a.c, z.flat())
+    gen = np.concatenate(generator_phase(a, 1.0, z.q, z.p))
     assert np.max(np.abs(xv - gen)) < 1e-8
 
 
@@ -361,7 +362,6 @@ def test_verifier_validates_only_its_probes(phase_point_count, action):
         verify_scaling_symmetry(action, H, samples=8, seed=2)
 
     assert phase_point_count(run) == 8
-    assert phase_point_count(run, TangentVector) == 0
 
 
 def test_verifier_reports_a_nan_generator_jacobian_as_a_failed_check():
@@ -512,7 +512,7 @@ def per_probe_residuals(action, H, samples, seed, probe=None) -> dict:
         residual = {"conformality": _rel_one(_full_fd_defect(action, g, z.flat()),
                                              g ** action.c)}
         h0 = H.value(q, p)
-        q_g, p_g = _lift(action, g, q, p)
+        q_g, p_g = act_phase(action, g, q, p)
         h1 = H.value(q_g, p_g)
         residual["invariance"] = _rel_one(abs(h1 - g ** action.b * h0), h1,
                                           g ** action.b * h0)
@@ -523,12 +523,12 @@ def per_probe_residuals(action, H, samples, seed, probe=None) -> dict:
                               action.c * xi * p - djac.T @ p))
         residual["momentum-map"] = _rel_one(float(np.max(np.abs(xv - gen))),
                                             float(np.max(np.abs(gen))))
-        j0 = _momentum(action, q, p)
+        j0 = momentum_map(action, q, p)
         gq = generator_config_jacobian(action, 1.0, q).T @ p
         gp = generator_config(action, 1.0, q)
         directional = float(gq @ gp + gp @ (-gq + action.c * p))
         residual["scaling-function"] = _rel_one(abs(directional - action.c * j0), j0)
-        j1 = _momentum(action, q_g, p_g)
+        j1 = momentum_map(action, q_g, p_g)
         residual["momentum-invariance"] = _rel_one(abs(j1 - g ** action.c * j0), j1, j0)
         for name in worst:
             worst[name] = _worst(worst[name], residual[name])
@@ -617,3 +617,31 @@ def test_rel_skips_a_nan_scale_as_pythons_max_does():
     expected = [_rel_one(e, a, b) for e, a, b in zip(err, h1, h0)]
     assert _same_bits(_rel(err, h1, h0), expected)
     assert _same_bits(expected[:3], [1.0 / 3.0, 2.0 / 5.0, 3.0])
+
+
+# --- a mis-set exponent fails the check that reads H ----------------------
+
+@st.composite
+def _nbody_or_power_law_specs(draw):
+    if draw(st.booleans()):
+        bodies = draw(st.integers(2, 6))
+        masses = draw(st.lists(st.floats(0.1, 5.0), min_size=bodies, max_size=bodies))
+        return {"type": "nbody", "masses": masses, "dim": draw(st.integers(2, 3))}
+    alpha = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.2, 3.0))
+    return {"type": "homogeneous", "alpha": alpha, "n": draw(st.integers(1, 4))}
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_nbody_or_power_law_specs(), st.sampled_from(["c", "b"]),
+       st.sampled_from([-1.0, 1.0]), st.floats(0.05, 0.5), st.integers(0, 1000))
+def test_a_mis_set_c_or_b_fails_invariance(spec, exponent, sign, size, seed):
+    built = make_system(spec)
+    H = built.system.hamiltonian_field()
+    own = verify_scaling_symmetry(built.action, H, seed=seed, probe=built.probe)
+    assert own.passed, own.to_dict()
+    moved = {"c": built.action.c, "b": built.action.b}
+    moved[exponent] += sign * size
+    mis_set = make_system(spec | {"action": moved})
+    report = verify_scaling_symmetry(mis_set.action, H, seed=seed, probe=built.probe)
+    assert not report.passed
+    assert report.check("invariance").max_residual > report.tol

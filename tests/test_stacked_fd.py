@@ -34,7 +34,7 @@ from scalesym.cli import _random_start
 from scalesym.equilibria import _solver_residual
 from scalesym.errors import NonFiniteValue
 from scalesym.phase import _fd_diagonal, _fd_stack_jacobian
-from scalesym.scaling import _lift
+from scalesym.scaling import act_phase
 
 from conftest import kepler_action, quadratic_action, random_phase_point
 
@@ -191,8 +191,8 @@ def test_phase_jacobian_fd_equals_row_mapped_lift(action):
     for _ in range(10):
         z = random_phase_point(rng, n)
         g = float(np.exp(rng.uniform(-0.7, 0.7)))
-        expected = fd_jacobian(lambda w: np.concatenate(_lift(action, g, w[:n], w[n:])),
-                               z.flat())
+        expected = fd_jacobian(
+            lambda w: np.concatenate(act_phase(action, g, w[:n], w[n:])), z.flat())
         assert np.array_equal(phase_jacobian_fd(action, g, z), expected)
 
 

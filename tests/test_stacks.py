@@ -29,7 +29,7 @@ from scalesym import (
     power_law_system,
 )
 from scalesym import systems
-from scalesym.scaling import _lift, _momentum
+from scalesym.scaling import act_phase, momentum_map
 
 from conftest import quadratic_action
 
@@ -265,8 +265,8 @@ def test_dilation_momentum_of_a_stack_is_each_rows(data, n):
     weights = data.draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
     action = ScalingAction.dilation(weights, 0.5, -1.0)
     Q, P = data.draw(_stack(n))
-    J = _momentum(action, Q, P)
-    assert _bits(J) == _bits([_momentum(action, q.copy(), p.copy())
+    J = momentum_map(action, Q, P)
+    assert _bits(J) == _bits([momentum_map(action, q.copy(), p.copy())
                               for q, p in zip(Q, P)])
 
 
@@ -275,8 +275,8 @@ def test_dilation_momentum_of_a_stack_is_each_rows(data, n):
 def test_custom_momentum_of_a_stack_is_each_rows(stack):
     action = quadratic_action()
     Q, P = stack
-    assert _bits(_momentum(action, Q, P)) == _bits(
-        [_momentum(action, q.copy(), p.copy()) for q, p in zip(Q, P)])
+    assert _bits(momentum_map(action, Q, P)) == _bits(
+        [momentum_map(action, q.copy(), p.copy()) for q, p in zip(Q, P)])
 
 
 @settings(derandomize=True, database=None, deadline=None)
@@ -291,7 +291,7 @@ def test_lift_by_a_column_of_group_elements_is_each_rows(data, custom):
         action = ScalingAction.dilation(weights, data.draw(st.floats(-2.0, 2.0)), -1.0)
     q, p = (data.draw(arrays(float, n, elements=_coordinates)) for _ in range(2))
     g = data.draw(arrays(float, (data.draw(_rows), 1), elements=st.floats(0.2, 5.0)))
-    Q, P = _lift(action, g, q, p)
-    rows = [_lift(action, float(gk[0]), q, p) for gk in g]
+    Q, P = act_phase(action, g, q, p)
+    rows = [act_phase(action, float(gk[0]), q, p) for gk in g]
     assert _bits(Q) == _bits([r[0] for r in rows])
     assert _bits(P) == _bits([r[1] for r in rows])
