@@ -42,7 +42,6 @@ from .errors import (
     ScaleSymError,
     SchemaError,
     SolverDidNotConverge,
-    SymmetryVerificationFailed,
     UncertifiedInput,
 )
 from .phase import (

@@ -4,7 +4,9 @@ Subcommands: solve-cc, verify, integrate, homothetic.  Exit codes are a
 contract for scripted sweeps:
 
     0  success
-    1  I/O or specification errors
+    1  I/O or specification errors, including usage errors (an unknown or
+       missing option, a value that does not parse) and non-finite numbers
+       or tolerances
     2  solver non-convergence (diagnostic JSON still written)
     3  symmetry-verification failure
     4  dynamics guard (collision threshold, blow-up window, non-finite state)
@@ -30,13 +32,13 @@ import numpy as np
 from . import __version__
 from .dynamics import Trajectory, integrate, noether_series, \
     verify_conformal_flow, verify_homothetic_orbit
-from .equilibria import certify_relative_equilibrium, momentum_from_config, \
-    solve_central_configuration, xi_squared_from_config
+from .equilibria import _check_tolerance, certify_relative_equilibrium, \
+    momentum_from_config, solve_central_configuration, xi_squared_from_config
 from .errors import BlowupWindow, CollisionDetected, DimensionMismatch, \
     NonFiniteValue, SchemaError, SolverDidNotConverge, UncertifiedInput
 from .phase import PhasePoint
-from .systems import BuiltSystem, ConformalSystem, NBodySpec, make_system, \
-    min_pairwise_distance
+from .systems import BuiltSystem, ConformalSystem, NBodySpec, _number, _numbers, \
+    make_system, min_pairwise_distance
 
 log = logging.getLogger("scalesym")
 
@@ -92,8 +94,11 @@ def _write_json(path: str, payload: dict):
 
 
 def _load_vector(path: str) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", dtype=float)
-    return np.atleast_1d(data).ravel()
+    try:
+        data = np.loadtxt(path, delimiter=",", dtype=float)
+    except ValueError:
+        raise SchemaError(f"{path} must hold comma-separated numbers") from None
+    return np.atleast_1d(_numbers(data, path)).ravel()
 
 
 def write_trajectory_csv(path: str, traj: Trajectory):
@@ -160,8 +165,7 @@ def _solve_one(system, action, q0, args, spec, job=None):
     config = _resolved_config(args, {"job": job} if job is not None else None)
     try:
         result = solve_central_configuration(
-            system, action, q0, tol=args.tol, max_iter=args.max_iter,
-            verify_symmetry=False)
+            system, action, q0, tol=args.tol, max_iter=args.max_iter)
     except SolverDidNotConverge as exc:
         payload = {"error": str(exc), "certified": False,
                    "diagnostics": exc.diagnostics, "system": spec,
@@ -229,6 +233,7 @@ def _flow_of(built: BuiltSystem):
 
 
 def cmd_verify(args) -> int:
+    _check_tolerance(args.flow_tol, "--flow-tol")
     spec, built = _build(args)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     for name in checks:
@@ -330,11 +335,8 @@ def cmd_homothetic(args) -> int:
     built = make_system(re_doc["system"])
     system, action = _mechanical_or_die(built)
     # Earn the certificate again; the file's p, flag and residuals are ignored.
-    try:
-        q = np.atleast_1d(np.asarray(re_doc["q"], float))
-        xi = float(re_doc["xi"])
-    except (TypeError, ValueError):
-        raise SchemaError("q and xi must be numbers") from None
+    q = np.atleast_1d(_numbers(re_doc["q"], "q"))
+    xi = _number(re_doc["xi"], "xi")
     if q.shape != (system.n,):
         raise DimensionMismatch(f"q has shape {q.shape}, expected ({system.n},)")
     re = certify_relative_equilibrium(system, action, q, xi, tol=args.tol)
@@ -346,8 +348,17 @@ def cmd_homothetic(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on the specification-error code; its own
+    exit code 2 would read as solver non-convergence."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="scalesym",
         description="Scaling symmetries, conformal momentum maps, and "
                     "central configurations.")

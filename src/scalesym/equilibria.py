@@ -12,11 +12,13 @@ p = M xi_Q(q) and the central-configuration equation
     grad U(q) - (xi^2 / 2) grad I(q) + c xi M xi_Q(q) = 0,
 
 where I(q) = xi_Q(q)|_1 . M xi_Q(q)|_1 is the (scalar) locked inertia and
-U_xi = U - (xi^2 / 2) I is the augmented potential.  The solver runs
-damped least squares on that residual system, augmented with exact
-center-of-mass rows for translation-invariant potentials and an inertia
-normalization row fixing the scale; rotational degeneracy is left to
-minimum-norm steps.
+U_xi = U - (xi^2 / 2) I is the augmented potential.  The solver has one
+mode: it runs damped least squares for the unknowns (q, xi) on that
+residual system, augmented with exact center-of-mass rows for
+translation-invariant potentials and an inertia normalization row fixing
+the scale; rotational degeneracy is left to minimum-norm steps.  It takes
+(action, H) as a scaling symmetry and does not verify the pair; that is
+``BuiltSystem.verify``'s job, or ``verify_scaling_symmetry``'s.
 """
 
 from dataclasses import dataclass, field
@@ -25,14 +27,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import CollisionDetected, DimensionMismatch, NonFiniteValue, \
-    SchemaError, SolverDidNotConverge, SymmetryVerificationFailed
+    SchemaError, SolverDidNotConverge
 from .phase import PhasePoint, ScalarField, _dot_rows, _fd_stack_jacobian
 from .scaling import (
     ScalingAction,
     generator_config,
     generator_config_jacobian,
     momentum_map,
-    verify_scaling_symmetry,
 )
 
 
@@ -264,11 +265,20 @@ def xi_squared_from_config(system: SimpleMechanicalSystem, q) -> float:
     return -2.0 * float(system.potential(q)) / inertia
 
 
+def _check_tolerance(tol: float, name: str = "tol"):
+    """SchemaError unless tol is a finite number >= 0, the only kind a
+    residual can be judged against."""
+    if not 0 <= tol < np.inf:
+        raise SchemaError(f"{name} must be finite and >= 0, got {tol}")
+
+
 def certify_relative_equilibrium(system: SimpleMechanicalSystem,
                                  action: ScalingAction, q, xi: float, *,
                                  tol: float = 1e-10,
                                  iterations: int = 0) -> RelativeEquilibrium:
-    """Build p = M xi_Q(q), evaluate both residuals, and set the certified flag."""
+    """Build p = M xi_Q(q), evaluate both residuals, and set the certified
+    flag; a tolerance that is NaN, infinite or negative raises SchemaError."""
+    _check_tolerance(tol)
     q = np.asarray(q, dtype=float)
     p = momentum_from_config(system, action, xi, q)
     z = PhasePoint(q, p)
@@ -281,67 +291,58 @@ def certify_relative_equilibrium(system: SimpleMechanicalSystem,
                                iterations=iterations)
 
 
-def _solver_residual(system, action, q, xi, inertia_target, fix_xi):
+def _solver_residual(system, action, q, xi, inertia_target):
     """The solver's residual at q, or row by row at a (..., n) stack of
     configurations, with xi a float or a (..., 1) column."""
     lead = q.shape[:-1]
     rows = [central_config_residual(system, action, xi, q)]
     if system.translation_invariant:
         rows.append(np.matmul(system.masses, q.reshape(lead + (-1, system.dim))))
-    if fix_xi is None:
-        inertia = locked_inertia(system, action, q) - inertia_target
-        rows.append(np.reshape(inertia, lead + (1,)))
+    inertia = locked_inertia(system, action, q) - inertia_target
+    rows.append(np.reshape(inertia, lead + (1,)))
     return np.concatenate(rows, axis=-1)
 
 
 def solve_central_configuration(system: SimpleMechanicalSystem,
                                 action: ScalingAction, q0, *,
                                 inertia_target: float | None = None,
-                                fix_xi: float | None = None,
                                 tol: float = 1e-10,
-                                max_iter: int = 100,
-                                verify_symmetry: bool = True) -> RelativeEquilibrium:
+                                max_iter: int = 100) -> RelativeEquilibrium:
     """Find a certified relative equilibrium by damped least squares.
 
     Unknowns are (q, xi); the residual stacks the central-configuration
     equation, center-of-mass rows when the potential is translation
     invariant, and the normalization locked_inertia(q) = inertia_target
-    (taken from q0 when not given).  ``fix_xi`` switches to the alternative
-    mode that freezes xi and lets the scale float.  The damped normal
-    system is solved in minimum-norm form, so rotationally degenerate
-    Jacobians need no explicit gauge fixing.  Converges basin-wise: the
-    returned equilibrium is whichever central configuration q0 leads to,
-    with xi reported as +sqrt(xi^2) (the expanding branch; -xi gives the
-    contracting homothetic solution).
-    """
-    q = np.asarray(q0, dtype=float).copy()
-    if verify_symmetry:
-        report = verify_scaling_symmetry(action, system.hamiltonian_field(),
-                                         samples=8, seed=0)
-        if not report.passed:
-            raise SymmetryVerificationFailed(
-                "(action, H) failed scaling-symmetry verification; "
-                f"worst residual {report.max_residual:.3e}", report=report)
+    (taken from q0 when not given).  The damped normal system is solved in
+    minimum-norm form, so rotationally degenerate Jacobians need no
+    explicit gauge fixing.  Converges basin-wise: the returned equilibrium
+    is whichever central configuration q0 leads to, with xi reported as
+    +sqrt(xi^2) (the expanding branch; -xi gives the contracting
+    homothetic solution).
 
+    The solver does not check that (action, H) is a scaling symmetry; that
+    verdict comes from ``BuiltSystem.verify`` or ``verify_scaling_symmetry``.
+    A tolerance that is NaN, infinite or negative, or a negative
+    ``max_iter``, raises SchemaError.
+    """
+    _check_tolerance(tol)
+    if max_iter < 0:
+        raise SchemaError(f"max_iter must be >= 0, got {max_iter}")
+    q = np.asarray(q0, dtype=float).copy()
     if inertia_target is None:
         inertia_target = locked_inertia(system, action, q)
-    if fix_xi is not None:
-        xi = float(fix_xi)
-    else:
-        try:
-            xi = float(np.sqrt(max(xi_squared_from_config(system, q), 0.0)))
-        except ValueError:
-            xi = 1.0
-        if xi == 0.0:
-            xi = 1.0
+    try:
+        xi = float(np.sqrt(max(xi_squared_from_config(system, q), 0.0)))
+    except ValueError:
+        xi = 1.0
+    if xi == 0.0:
+        xi = 1.0
 
     def residual(x):  # one state x, or the Jacobian's stack of probes
-        if fix_xi is None:
-            return _solver_residual(system, action, x[..., :-1], x[..., -1:],
-                                    inertia_target, None)
-        return _solver_residual(system, action, x, xi, inertia_target, fix_xi)
+        return _solver_residual(system, action, x[..., :-1], x[..., -1:],
+                                inertia_target)
 
-    x = np.append(q, xi) if fix_xi is None else q
+    x = np.append(q, xi)
     r = residual(x)
     lam = 1e-3
     iteration = 0
@@ -377,7 +378,5 @@ def solve_central_configuration(system: SimpleMechanicalSystem,
                         diagnostics={"residual": float(np.max(np.abs(r))),
                                      "iterations": iteration})
 
-    q_sol = x[:-1] if fix_xi is None else x
-    xi_sol = x[-1] if fix_xi is None else xi
-    return certify_relative_equilibrium(system, action, q_sol, xi_sol,
+    return certify_relative_equilibrium(system, action, x[:-1], x[-1],
                                         tol=tol, iterations=iteration)

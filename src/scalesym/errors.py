@@ -30,14 +30,6 @@ class BlowupWindow(ScaleSymError, ValueError):
     """Requested time window extends past the homothetic blow-up time."""
 
 
-class SymmetryVerificationFailed(ScaleSymError, RuntimeError):
-    """A (action, Hamiltonian) pair failed the scaling-symmetry checks."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
-
 class SolverDidNotConverge(ScaleSymError, RuntimeError):
     """The equilibrium solver hit its iteration budget before the tolerance."""
 

@@ -313,10 +313,13 @@ def make_system(spec_json: dict) -> BuiltSystem:
 
     Schema: {"type": "nbody" | "homogeneous" | "anisotropic-kepler" |
     "damped-oscillator", "masses": [...], "dim": int, "alpha": real?,
-    "mu": real?, "b": real?, "action": {...}?, "z0": [...]?}.  A value of
-    the wrong type, a non-finite number or a non-integral count raises
-    SchemaError.  Without an "action" the pair is the uniform dilation with
-    b = alpha and c = (2 + alpha) / 2.
+    "n": int?, "k": real?, "mass_matrix": [[...]]?, "mu": real?, "b": real?,
+    "action": {...}?, "z0": [...]?}.  Every value is data: a "homogeneous"
+    spec always builds the power law k |q|^alpha (``power_law_system``),
+    and a custom homogeneous potential goes through the Python API,
+    ``homogeneous_system``.  A value of the wrong type, a non-finite number
+    or a non-integral count raises SchemaError.  Without an "action" the
+    pair is the uniform dilation with b = alpha and c = (2 + alpha) / 2.
     """
     if not isinstance(spec_json, dict) or "type" not in spec_json:
         raise SchemaError("system spec must be a dict with a 'type' key")
@@ -355,14 +358,9 @@ def make_system(spec_json: dict) -> BuiltSystem:
         mass_matrix = spec_json.get("mass_matrix")
         if mass_matrix is not None:
             mass_matrix = _numbers(mass_matrix, "mass_matrix")
-        if "potential" in spec_json:  # Python API path: callables supplied directly
-            system = homogeneous_system(
-                spec_json["potential"], spec_json["gradient"], n, alpha,
-                mass_matrix=mass_matrix)
-        else:
-            system = power_law_system(n, alpha,
-                                      k=_number(spec_json.get("k", -1.0), "k"),
-                                      mass_matrix=mass_matrix)
+        system = power_law_system(n, alpha,
+                                  k=_number(spec_json.get("k", -1.0), "k"),
+                                  mass_matrix=mass_matrix)
         probe = None
     else:
         raise SchemaError(f"unknown system type {kind!r}")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from scalesym import FD_STEP, NBodySpec, ScalingAction, Trajectory, cli, \
-    certify_relative_equilibrium, dynamics, equilibria, euler_collinear_oracle, \
+    certify_relative_equilibrium, dynamics, euler_collinear_oracle, \
     integrate, lagrange_triangle, make_system, nbody_system, \
     solve_central_configuration, systems
 from scalesym.cli import main, read_trajectory_csv, write_trajectory_csv
@@ -379,6 +379,30 @@ BAD_NUMBERS = {
                                  "--init", "short-init.csv", "--out", "bad.csv"],
     "z0-of-the-wrong-length": ["integrate", "--system", "nbody3-short-z0.json",
                                "--out", "bad.csv"],
+    # a tolerance a residual cannot be judged against certifies nothing
+    "solve-cc-infinite-tol": ["solve-cc", "--system", "nbody3.json",
+                              "--tol", "inf", "--out", "bad.json"],
+    "solve-cc-nan-tol": ["solve-cc", "--system", "nbody3.json",
+                         "--tol", "nan", "--out", "bad.json"],
+    "solve-cc-negative-tol": ["solve-cc", "--system", "nbody3.json",
+                              "--tol", "-1", "--out", "bad.json"],
+    "solve-cc-negative-max-iter": ["solve-cc", "--system", "nbody3.json",
+                                   "--max-iter", "-1", "--out", "bad.json"],
+    "homothetic-infinite-tol": ["homothetic", "--re", "re-tampered.json",
+                                "--tol", "inf", "--out", "bad.json"],
+    "verify-infinite-flow-tol": ["verify", "--system", "nbody3.json",
+                                 "--flow-tol", "inf", "--out", "bad.json"],
+    "verify-nan-flow-tol": ["verify", "--system", "nbody3.json",
+                            "--flow-tol", "nan", "--out", "bad.json"],
+    # non-finite inputs are bad specifications, not a dynamics guard
+    "solve-cc-nan-init": ["solve-cc", "--system", "nbody3.json",
+                          "--init", "nan6.csv", "--out", "bad.json"],
+    "integrate-nan-init": ["integrate", "--system", "nbody3.json",
+                           "--init", "nan12.csv", "--out", "bad.csv"],
+    "solve-cc-init-not-numbers": ["solve-cc", "--system", "nbody3.json",
+                                  "--init", "abc6.csv", "--out", "bad.json"],
+    "homothetic-nan-q": ["homothetic", "--re", "re-nan-q.json", "--out", "bad.json"],
+    "homothetic-nan-xi": ["homothetic", "--re", "re-nan-xi.json", "--out", "bad.json"],
 }
 
 
@@ -393,9 +417,43 @@ def test_bad_numbers_exit_1_with_one_error_line(workdir, monkeypatch, capsys, ar
     (workdir / "short-init.csv").write_text("0.5,0.0,-0.5,0.0\n")
     (workdir / "nbody3-short-z0.json").write_text(json.dumps(
         {"type": "nbody", "masses": [1, 1, 1], "dim": 2, "z0": [0.5, 0.0, -0.5, 0.0]}))
+    (workdir / "re-tampered.json").write_text(json.dumps(
+        doc | {"q": [0.8, 0.1, 0, -0.5, 0, 0]}))
+    (workdir / "re-nan-q.json").write_text(json.dumps(doc | {"q": [math.nan] + doc["q"][1:]}))
+    (workdir / "re-nan-xi.json").write_text(json.dumps(doc | {"xi": math.nan}))
+    (workdir / "nan6.csv").write_text(",".join(["nan"] + ["0.5"] * 5) + "\n")
+    (workdir / "nan12.csv").write_text(",".join(["nan"] + ["0.5"] * 11) + "\n")
+    (workdir / "abc6.csv").write_text(",".join(["abc"] + ["0.5"] * 5) + "\n")
     assert main(argv) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+USAGE_ERRORS = {
+    "unparseable-number": ["solve-cc", "--system", "nbody3.json", "--tol", "abc"],
+    "unknown-option": ["solve-cc", "--system", "nbody3.json", "--no-such-option"],
+    "missing-required-option": ["solve-cc", "--tol", "1e-8"],
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+def test_usage_errors_exit_1_not_the_non_convergence_code(workdir, monkeypatch,
+                                                          capsys, argv):
+    # exit 2 would tell a sweep script that the solver did not converge
+    monkeypatch.chdir(workdir)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--out", "bad.json"])
+    assert excinfo.value.code == 1
+    assert "error: " in capsys.readouterr().err
+    assert not (workdir / "bad.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["solve-cc", "--help"]])
+def test_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out
 
 
 NBODY = {"type": "nbody", "masses": [1.0, 1.0], "dim": 2}
@@ -521,8 +579,7 @@ def test_verifier_runs_only_where_its_verdict_is_read(command_inputs, monkeypatc
         seen.append(kwargs.get("samples"))
         return verify(*args, **kwargs)
 
-    for module in (systems, equilibria):
-        monkeypatch.setattr(module, "verify_scaling_symmetry", counting_verify)
+    monkeypatch.setattr(systems, "verify_scaling_symmetry", counting_verify)
     assert main(argv) == 0
     assert seen == [32] * calls
 
@@ -546,7 +603,7 @@ def test_integrate_and_homothetic_run_on_six_collinear_bodies(workdir):
     assert len(read_trajectory_csv(workdir / "line6.csv")) == 11
 
     re = solve_central_configuration(nbody_system(NBodySpec((1.0,) * 6, dim=1)),
-                                     kepler_action(6), q0, verify_symmetry=False)
+                                     kepler_action(6), q0)
     (workdir / "line6-re.json").write_text(json.dumps(
         {"q": list(re.q), "xi": re.xi, "system": spec}))
     out = workdir / "line6-homothetic.json"

@@ -7,8 +7,8 @@ from scalesym import (
     NBodySpec,
     PhasePoint,
     ScalingAction,
+    SchemaError,
     SolverDidNotConverge,
-    SymmetryVerificationFailed,
     augmented_hamiltonian,
     augmented_kinetic,
     augmented_potential,
@@ -295,21 +295,27 @@ def test_solver_collinear_matches_euler_oracle():
     assert ratio == pytest.approx(euler_collinear_oracle(masses), abs=1e-8)
 
 
-def test_solver_fixed_xi_mode(triangle):
-    # freezing xi = 1 lets the scale float to where xi^2(q) = 1
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-10])
+def test_a_tolerance_nothing_can_be_judged_against_is_rejected(triangle, tol):
+    # inf would certify the start unsolved, nan would never certify
     _, system, action, q = triangle
-    result = solve_central_configuration(system, action, q, fix_xi=1.0)
-    assert result.certified
-    pos = result.q.reshape(3, 2)
-    side = np.linalg.norm(pos[0] - pos[1])
-    assert side == pytest.approx(6.0 ** (1.0 / 3.0), abs=1e-8)
+    with pytest.raises(SchemaError, match="tol"):
+        solve_central_configuration(system, action, q, tol=tol)
+    with pytest.raises(SchemaError, match="tol"):
+        certify_relative_equilibrium(system, action, q, 2.0, tol=tol)
 
 
-def test_solver_rejects_inconsistent_pair(triangle):
-    _, system, _, q = triangle
-    wrong = ScalingAction.uniform_dilation(6, 1.0, -1.0)
-    with pytest.raises(SymmetryVerificationFailed):
-        solve_central_configuration(system, wrong, q)
+def test_a_negative_iteration_budget_is_rejected(triangle):
+    _, system, action, q = triangle
+    with pytest.raises(SchemaError, match="max_iter"):
+        solve_central_configuration(system, action, q, max_iter=-1)
+
+
+def test_solver_keywords_of_removed_modes_are_unknown(triangle):
+    _, system, action, q = triangle
+    for keyword in ({"verify_symmetry": False}, {"fix_xi": 1.0}):
+        with pytest.raises(TypeError):
+            solve_central_configuration(system, action, q, **keyword)
 
 
 def test_solver_reports_non_convergence(triangle):

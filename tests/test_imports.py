@@ -1,9 +1,12 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private definition is read somewhere in the package.
 
 No linter ships with the test dependencies, so this reads each module's
 syntax tree with the standard library: a name bound by ``import`` or
 ``from ... import`` must appear as a name somewhere else in the module.
 ``__init__.py`` is exempt, because its imports are the package's exports.
+A private module-level function or class, or a private method other than
+a dunder, must be read as a name or an attribute in some module.
 """
 
 import ast
@@ -13,6 +16,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "scalesym"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,3 +46,45 @@ def test_an_unused_import_is_reported():
               "from .phase import PhasePoint, ScalarField as Field\n"
               "def f(q):\n    return np.asarray(q), os.sep\n")
     assert unused_imports(source) == ["PhasePoint", "Field"]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def unread_private_definitions(sources: list[str]) -> list[str]:
+    """The private module-level functions and classes, and private methods,
+    that no source reads as a name or an attribute, in definition order."""
+    trees = [ast.parse(source) for source in sources]
+    defined = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, FUNCTIONS + (ast.ClassDef,)) and _private(node.name):
+                defined.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined += [item.name for item in node.body
+                            if isinstance(item, FUNCTIONS) and _private(item.name)]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [name for name in defined if name not in read]
+
+
+def test_every_private_definition_is_read():
+    sources = [path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")]
+    assert unread_private_definitions(sources) == []
+
+
+def test_an_unread_private_definition_is_reported():
+    module = ("def _used():\n    return 1\n"
+              "def _dead():\n    return 2\n"
+              "class _Box:\n"
+              "    def __init__(self):\n        self._live = _used()\n"
+              "    def _unread(self):\n        return self._live\n"
+              "    def _read(self):\n        return 0\n")
+    user = "from .a import _Box\nvalue = _Box()._read()\n"
+    assert unread_private_definitions([module, user]) == ["_dead", "_unread"]

@@ -47,21 +47,16 @@ _xi = st.floats(0.1, 5.0)
 _nonzero = st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)  # rows away from q = 0
 
 
-def assert_residual_stack_matches_rows(system, action, X, target=1.0, fix_xi=None):
-    """_solver_residual on the stack X equals the np.stack of its rows alone;
-    a single state with xi as a (1,) column, as the solver passes its trial
-    steps, equals the row too."""
-    if fix_xi is None:
-        stacked = _solver_residual(system, action, X[:, :-1], X[:, -1:], target, None)
-        rows = [_solver_residual(system, action, x[:-1], x[-1], target, None)
-                for x in X.copy()]
-        for x, row in zip(X, rows):
-            assert np.array_equal(
-                _solver_residual(system, action, x[:-1], x[-1:], target, None), row)
-    else:
-        stacked = _solver_residual(system, action, X, fix_xi, target, fix_xi)
-        rows = [_solver_residual(system, action, x, fix_xi, target, fix_xi)
-                for x in X.copy()]
+def assert_residual_stack_matches_rows(system, action, X, target=1.0):
+    """_solver_residual on the stack X of (q, xi) rows equals the np.stack of
+    its rows alone; a single state with xi as a (1,) column, as the solver
+    passes its trial steps, equals the row too."""
+    stacked = _solver_residual(system, action, X[:, :-1], X[:, -1:], target)
+    rows = [_solver_residual(system, action, x[:-1], x[-1], target)
+            for x in X.copy()]
+    for x, row in zip(X, rows):
+        assert np.array_equal(
+            _solver_residual(system, action, x[:-1], x[-1:], target), row)
     assert np.array_equal(stacked, np.stack(rows))
 
 
@@ -95,42 +90,38 @@ def test_nbody_solver_residual_stacks(case, target):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=50)
 @given(st.data(), st.integers(1, 4), st.floats(-3.0, 3.0).filter(bool),
-       st.floats(-1.0, 1.0), st.none() | _xi)
-def test_power_law_solver_residual_with_full_mass_matrix_stacks(data, n, alpha, c,
-                                                                fix_xi):
+       st.floats(-1.0, 1.0))
+def test_power_law_solver_residual_with_full_mass_matrix_stacks(data, n, alpha, c):
     system = power_law_system(n, alpha, mass_matrix=data.draw(_spd(n)))
     assert system._mass_diagonal is None or n == 1
     action = ScalingAction.uniform_dilation(n, c, alpha)
     b = data.draw(_rows)
-    X = data.draw(arrays(float, (b, n), elements=_nonzero))
-    if fix_xi is None:
-        X = np.hstack((X, data.draw(arrays(float, (b, 1), elements=_xi))))
-    assert_residual_stack_matches_rows(system, action, X, fix_xi=fix_xi)
+    X = np.hstack((data.draw(arrays(float, (b, n), elements=_nonzero)),
+                   data.draw(arrays(float, (b, 1), elements=_xi))))
+    assert_residual_stack_matches_rows(system, action, X)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=50)
-@given(st.data(), st.integers(1, 5), st.floats(-1.0, 1.0), st.none() | _xi)
-def test_weighted_dilation_solver_residual_stacks(data, n, c, fix_xi):
+@given(st.data(), st.integers(1, 5), st.floats(-1.0, 1.0))
+def test_weighted_dilation_solver_residual_stacks(data, n, c):
     weights = data.draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
     system = power_law_system(n, -1.0)
     action = ScalingAction.dilation(weights, c, -1.0)
     b = data.draw(_rows)
-    X = data.draw(arrays(float, (b, n), elements=_nonzero))
-    if fix_xi is None:
-        X = np.hstack((X, data.draw(arrays(float, (b, 1), elements=_xi))))
-    assert_residual_stack_matches_rows(system, action, X, fix_xi=fix_xi)
+    X = np.hstack((data.draw(arrays(float, (b, n), elements=_nonzero)),
+                   data.draw(arrays(float, (b, 1), elements=_xi))))
+    assert_residual_stack_matches_rows(system, action, X)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=50)
-@given(st.data(), st.floats(0.2, 5.0), st.floats(-1.0, 1.0), st.none() | _xi)
-def test_custom_action_solver_residual_stacks(data, mu, c, fix_xi):
+@given(st.data(), st.floats(0.2, 5.0), st.floats(-1.0, 1.0))
+def test_custom_action_solver_residual_stacks(data, mu, c):
     system = anisotropic_kepler_system(mu)
     action = quadratic_action(c, -1.0)
     b = data.draw(_rows)
-    X = data.draw(arrays(float, (b, 2), elements=_nonzero))
-    if fix_xi is None:
-        X = np.hstack((X, data.draw(arrays(float, (b, 1), elements=_xi))))
-    assert_residual_stack_matches_rows(system, action, X, fix_xi=fix_xi)
+    X = np.hstack((data.draw(arrays(float, (b, 2), elements=_nonzero)),
+                   data.draw(arrays(float, (b, 1), elements=_xi))))
+    assert_residual_stack_matches_rows(system, action, X)
 
 
 @pytest.mark.parametrize("xi", POW_TRAPS)
@@ -143,8 +134,6 @@ def test_solver_residual_stacks_where_array_square_rounds_differently(xi):
     system = power_law_system(2, -1.0, mass_matrix=[[2.0, 0.5], [0.5, 1.0]])
     action = ScalingAction.uniform_dilation(2, 0.5, -1.0)
     assert_residual_stack_matches_rows(system, action, np.array([[0.7, -0.3, xi]]))
-    assert_residual_stack_matches_rows(system, action, np.array([[0.7, -0.3]]),
-                                       fix_xi=xi)
 
 
 # --- Jacobians ---------------------------------------------------------------
@@ -171,14 +160,13 @@ def test_solver_jacobian_equals_row_by_row_fd_jacobian(seed, monkeypatch):
 
     monkeypatch.setattr(equilibria, "_fd_stack_jacobian", recording)
     try:
-        solve_central_configuration(system, action, q0, max_iter=3,
-                                    verify_symmetry=False)
+        solve_central_configuration(system, action, q0, max_iter=3)
     except SolverDidNotConverge:
         pass
     assert seen
     for x, jac in seen:
         expected = fd_jacobian(
-            lambda w: _solver_residual(system, action, w[:-1], w[-1], target, None), x)
+            lambda w: _solver_residual(system, action, w[:-1], w[-1], target), x)
         assert np.array_equal(jac, expected)
 
 
@@ -205,12 +193,12 @@ def test_solver_jacobian_with_one_colliding_probe_raises():
     action = kepler_action(2)
     x = np.array([-3.0, -2.0, 1.0])
     X = np.array([x, x + [3.0 * FD_STEP, 0.0, 0.0], x + [0.0, -2.0 * FD_STEP, 0.0]])
-    _solver_residual(system, action, X[[0, 2], :-1], X[[0, 2], -1:], 1.0, None)
+    _solver_residual(system, action, X[[0, 2], :-1], X[[0, 2], -1:], 1.0)
     with pytest.raises(CollisionDetected):
-        _solver_residual(system, action, X[:, :-1], X[:, -1:], 1.0, None)
+        _solver_residual(system, action, X[:, :-1], X[:, -1:], 1.0)
 
     def residual(w):
-        return _solver_residual(system, action, w[..., :-1], w[..., -1:], 1.0, None)
+        return _solver_residual(system, action, w[..., :-1], w[..., -1:], 1.0)
 
     residual(x)
     with pytest.raises(CollisionDetected):
@@ -218,7 +206,7 @@ def test_solver_jacobian_with_one_colliding_probe_raises():
     with pytest.raises(CollisionDetected):
         fd_jacobian(residual, x)
     with pytest.raises(CollisionDetected):
-        solve_central_configuration(system, action, x[:-1], verify_symmetry=False)
+        solve_central_configuration(system, action, x[:-1])
 
 
 def test_nan_row_does_not_hide_a_colliding_row():
@@ -239,8 +227,7 @@ def test_solver_jacobian_calls_the_residual_once_per_iteration(monkeypatch):
     monkeypatch.setattr(equilibria, "_solver_residual", counting)
     system = nbody_system(NBodySpec((1.0, 1.0, 2.0), dim=2))
     q0 = np.array([-0.52, -0.21, 0.47, -0.23, 0.02, 0.22])
-    result = solve_central_configuration(system, kepler_action(6), q0,
-                                         verify_symmetry=False)
+    result = solve_central_configuration(system, kepler_action(6), q0)
     assert result.certified
     stacks = [shape for shape in calls if len(shape) == 2]
     assert stacks == [(14, 6)] * result.iterations

@@ -23,7 +23,6 @@ from scalesym import (
     anisotropic_kepler_system,
     damped_oscillator,
     homogeneous_system,
-    make_system,
     momentum_field,
     nbody_system,
     power_law_system,
@@ -116,13 +115,12 @@ def test_power_law_field_stacks(data, n, alpha, k):
 def test_homogeneous_field_with_full_mass_matrix_stacks(data, n):
     # Python-API gradient written for one configuration, non-diagonal SPD M
     a = data.draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
-    built = make_system({"type": "homogeneous", "alpha": -1.0, "n": n,
-                         "potential": lambda q: -1.0 / np.sqrt(q @ q),
-                         "gradient": lambda q: q * (q @ q) ** -1.5,
-                         "mass_matrix": a @ a.T + n * np.eye(n) + 0.5 * (1 - np.eye(n))})
-    assert built.system._mass_diagonal is None
+    system = homogeneous_system(
+        lambda q: -1.0 / np.sqrt(q @ q), lambda q: q * (q @ q) ** -1.5, n, -1.0,
+        mass_matrix=a @ a.T + n * np.eye(n) + 0.5 * (1 - np.eye(n)))
+    assert system._mass_diagonal is None
     Q, P = data.draw(_stack(n, elements=_nonzero))
-    assert_stack_matches_rows(built.system.hamiltonian_field(), Q, P)
+    assert_stack_matches_rows(system.hamiltonian_field(), Q, P)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)

@@ -220,8 +220,7 @@ def test_anisotropic_kepler_is_a_scaling_symmetry():
 def test_anisotropic_kepler_axis_central_configuration():
     built = make_system({"type": "anisotropic-kepler", "mu": 2.0})
     system, action = built.system, built.action
-    result = solve_central_configuration(system, action, np.array([1.0, 0.05]),
-                                         verify_symmetry=False)
+    result = solve_central_configuration(system, action, np.array([1.0, 0.05]))
     assert result.certified
     # converges onto the strong axis; same residual equation as n-body
     assert abs(result.q[1]) < 1e-9
