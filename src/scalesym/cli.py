@@ -178,6 +178,8 @@ def _solve_one(system, action, q0, args, spec, job=None):
 
 
 def cmd_solve_cc(args) -> int:
+    if args.jobs < 1:
+        raise SchemaError(f"--jobs must be >= 1, got {args.jobs}")
     spec = _load_json(args.system)
     if args.collinear:
         if not isinstance(spec, dict) or spec.get("type") != "nbody":
@@ -424,6 +426,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:  # numpy's generators take no negative seed
+            raise SchemaError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (OSError, json.JSONDecodeError, SchemaError, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,29 +41,25 @@ from .scaling import (
 class SimpleMechanicalSystem:
     """Constant kinetic metric plus potential with analytic gradient.
 
-    The potential comes as ``potential`` and ``potential_gradient``, or as
-    one ``potential_and_gradient(q)`` returning (U, grad U) from a single
-    evaluation; the two separate callables then default to its parts, and
-    ``hamiltonian_field`` evaluates it once where both H and its gradient
-    are read, and once for H on a whole stack of states.  It takes one
-    configuration or a (..., n) stack, and returns U as a float or a (...)
-    array with the gradient's (n,) or (..., n) stack, each row that of the
-    row alone.  ``alpha`` declares the homogeneity degree of U under uniform
-    dilation when known.  ``masses``/``dim`` are set for point-particle
-    systems whose configuration is bodies x dim flattened; they switch on
-    the center-of-mass constraint in the solver.  ``hamiltonian_field()``
-    gives H = (1/2) p . M^{-1} p + U as a ScalarField, its formula written
-    once, in ``_energy``.
+    The potential is one kernel, ``potential_and_gradient(q)``, returning
+    (U, grad U) from a single evaluation.  It takes one configuration or a
+    (..., n) stack, and returns U as a float or a (...) array with the
+    gradient's (n,) or (..., n) stack, each row that of the row alone.
+    ``potential(q)`` and ``potential_gradient(q)`` read its two parts.
+    ``alpha`` declares the homogeneity degree of U under uniform dilation
+    when known.  ``masses``/``dim`` are set for point-particle systems whose
+    configuration is bodies x dim flattened; they switch on the
+    center-of-mass constraint in the solver.  ``hamiltonian_field()`` gives
+    H = (1/2) p . M^{-1} p + U as a ScalarField on the same kernel, its
+    formula written once, in ``_energy``.
     """
 
     mass_matrix: np.ndarray
-    potential: Callable[[np.ndarray], float] | None = None
-    potential_gradient: Callable[[np.ndarray], np.ndarray] | None = None
+    potential_and_gradient: Callable[[np.ndarray], tuple]
     alpha: float | None = None
     masses: np.ndarray | None = None
     dim: int | None = None
     name: str = "mechanical"
-    potential_and_gradient: Callable[[np.ndarray], tuple] | None = None
     # The diagonal of M when M is diagonal, else None; set from mass_matrix.
     _mass_diagonal: np.ndarray | None = field(default=None, init=False,
                                               repr=False, compare=False)
@@ -82,15 +78,14 @@ class SimpleMechanicalSystem:
                            diagonal if np.array_equal(M, np.diag(diagonal)) else None)
         if self.masses is not None:
             object.__setattr__(self, "masses", np.asarray(self.masses, dtype=float))
-        both = self.potential_and_gradient
-        if both is not None:
-            if self.potential is None:
-                object.__setattr__(self, "potential", lambda q: both(q)[0])
-            if self.potential_gradient is None:
-                object.__setattr__(self, "potential_gradient", lambda q: both(q)[1])
-        elif self.potential is None or self.potential_gradient is None:
-            raise SchemaError("need potential and potential_gradient, or "
-                              "potential_and_gradient")
+
+    def potential(self, q):
+        """U at one configuration (a float) or row by row on a stack."""
+        return self.potential_and_gradient(q)[0]
+
+    def potential_gradient(self, q):
+        """grad U at one configuration or row by row on a stack."""
+        return self.potential_and_gradient(q)[1]
 
     @property
     def n(self) -> int:
@@ -119,24 +114,16 @@ class SimpleMechanicalSystem:
         return 0.5 * _dot_rows(p, self._inverse_mass(p)) + u
 
     def hamiltonian_field(self) -> ScalarField:
-        def value(q, p) -> float:
-            return self._energy(p, float(self.potential(q)))
-
-        def grad(q, p):
-            return (np.asarray(self.potential_gradient(q), dtype=float),
-                    self._inverse_mass(p))
-
-        both = self.potential_and_gradient
-        if both is None:
-            return ScalarField(value=value, grad=grad)
+        def grad(q, p):  # an RK4 stage reads no H
+            return np.asarray(self.potential_gradient(q), float), self._inverse_mass(p)
 
         def value_and_grad(q, p):  # one evaluation of U
-            u, grad_u = both(q)
-            return (self._energy(p, float(u)),
+            u, grad_u = self.potential_and_gradient(q)
+            return (self._energy(p, u),
                     (np.asarray(grad_u, dtype=float), self._inverse_mass(p)))
 
-        return ScalarField(value=value, grad=grad, value_and_grad=value_and_grad,
-                           values=lambda q, p: self._energy(p, both(q)[0]))
+        return ScalarField(value=lambda q, p: self._energy(p, self.potential(q)),
+                           grad=grad, value_and_grad=value_and_grad)
 
 
 @dataclass(frozen=True)

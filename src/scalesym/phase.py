@@ -25,14 +25,13 @@ momentum-map check reads X_{J_xi}^{xi c} from it.
 ``PhasePoint`` is validated once, where a state enters or leaves the
 public API; inner loops (RK4 stages, finite-difference probes, per-row
 momenta and lifts) pass a ``ScalarField`` bare (q, p) arrays.
-A field's ``grad`` also takes stacks: q and p of shape (..., n), one state
-per row, with every row computed as if it came alone.  That is what lets
-``flow_jacobian`` integrate all of its probes at once.  Where both the
-value and the gradient at one state are read (an RK4 node that
-``integrate`` records), a field's ``value_and_grad`` gives them, from one
-evaluation when the field supplies a fused form.  ``values`` gives the
-value on a whole stack (the scaling verifier's probes and lifted probes),
-from one evaluation when the field supplies a stacked form.
+A field's ``value`` and ``grad`` also take stacks: q and p of shape
+(..., n), one state per row, with every row computed as if it came alone.
+That is what lets ``flow_jacobian`` integrate all of its probes at once,
+and the scaling verifier read H on its whole probe stack in one call.
+Where both the value and the gradient at one state are read (an RK4 node
+that ``integrate`` records), a field's ``value_and_grad`` gives them, from
+one evaluation when the field supplies a fused form.
 
 The module also provides the central-difference Jacobian behind every
 numerical derivative in the package: the gradient oracle for analytic
@@ -105,50 +104,46 @@ class ScalarField:
     """A smooth function on phase space together with its gradient.
 
     ``value(q, p)`` maps the bare coordinate arrays to a float; ``grad(q, p)``
-    returns the pair (dF/dq, dF/dp).  ``grad`` broadcasts over leading axes:
-    given (..., n) stacks it returns two (..., n) stacks, and each row equals
-    the gradient at that row alone, bit for bit.  Use :meth:`from_value`
-    when no analytic gradient is available; the finite-difference fallback
+    returns the pair (dF/dq, dF/dp).  Both broadcast over leading axes:
+    given (..., n) stacks, ``value`` returns a (...) array and ``grad`` two
+    (..., n) stacks, and each row equals that of the row alone, bit for bit.
+    Use :meth:`from_value` for a function written for one state, or when no
+    analytic gradient is available; its finite-difference gradient
     satisfies the same contract at reduced accuracy.
 
     ``value_and_grad(q, p)`` returns ``(value(q, p), grad(q, p))`` from one
     evaluation where the field has one, and takes what ``value`` takes: the
-    float is ``value``'s and the arrays are ``grad``'s, bit for bit.  Left
+    value is ``value``'s and the arrays are ``grad``'s, bit for bit.  Left
     out, it is the two separate calls, so a field whose value and gradient
     share no work need not supply it.
-
-    ``values(q, p)`` is ``value`` on (..., n) stacks: a (...) array whose
-    entries equal ``value`` at each row alone, bit for bit (a float for one
-    state).  Left out, it calls ``value`` once per row, so ``value`` itself
-    need only take one state; a field whose value vectorizes (the n-body H)
-    supplies it.
     """
 
-    value: Callable[[np.ndarray, np.ndarray], float]
+    value: Callable[[np.ndarray, np.ndarray], float | np.ndarray]
     grad: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     value_and_grad: Callable[[np.ndarray, np.ndarray],
                              tuple[float, tuple[np.ndarray, np.ndarray]]] | None = None
-    values: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        value, grad = self.value, self.grad
         if self.value_and_grad is None:
+            value, grad = self.value, self.grad
+
             def value_and_grad(q, p):
                 g = grad(q, p)  # first, so a node raises what a stage would
                 return value(q, p), g
 
             object.__setattr__(self, "value_and_grad", value_and_grad)
-        if self.values is None:
-            object.__setattr__(self, "values", lambda q, p: _map_rows(value, q, p))
 
     @classmethod
     def from_value(cls, value: Callable[..., float]) -> "ScalarField":
+        """The field of ``value``, written for one state, mapped over the
+        rows of a stack, with a central-difference gradient."""
         def fd_grad(q, p):
             n = len(q)
             g = fd_gradient(lambda w: value(w[:n], w[n:]), np.concatenate((q, p)))
             return g[:n], g[n:]
 
-        return cls(value=value, grad=lambda q, p: _map_rows(fd_grad, q, p))
+        return cls(value=lambda q, p: _map_rows(value, q, p),
+                   grad=lambda q, p: _map_rows(fd_grad, q, p))
 
 
 def _map_rows(f: Callable, *stacks):

@@ -25,7 +25,7 @@ scaling symmetry: conformality of the lift, conformal invariance of H,
 the momentum-map identity, the scaling-function property of J, and
 conformal invariance of J.  It draws its probes one at a time, then runs
 each check once on the whole probe stack: one stacked lift, one
-``ScalarField.values`` call for H at the probes and the lifted probes,
+``H.value`` call for H at the probes and the lifted probes,
 stacked gradients of J and generators, and, for a dilation, conformality
 read from the diagonal of the lift's central-difference Jacobian, the
 only entries that are not exactly 0.
@@ -357,8 +357,10 @@ def verify_scaling_symmetry(action: ScalingAction, H: ScalarField,
     The probes, each with its group element g and Lie algebra element xi,
     are drawn one at a time (a redrawn probe consumes the generator too);
     then each check runs once on the (samples, n) stacks, and H once, by
-    ``H.values``, on the probes and lifted probes together.  Each check's
-    residual is the one a loop over single probes gives, bit for bit.
+    ``H.value``, on the probes and lifted probes together.  Each check's
+    residual is the one a loop over single probes gives, bit for bit.  An
+    ``H.value`` that does not return one value per row of that stack
+    raises DimensionMismatch.
 
     Failures are reported, not raised.  A NaN or infinite residual fails
     its check and is reported as is.  Each probe is validated once, as a
@@ -392,7 +394,9 @@ def verify_scaling_symmetry(action: ScalingAction, H: ScalarField,
     residuals["conformality"] = _rel(defect, g_c)
 
     q_g, p_g = act_phase(action, g, q, p)
-    h = H.values(np.concatenate((q, q_g)), np.concatenate((p, p_g)))
+    h = H.value(np.concatenate((q, q_g)), np.concatenate((p, p_g)))
+    if np.shape(h) != (2 * samples,):
+        raise DimensionMismatch(f"value returned shape {np.shape(h)} for a stack")
     h0, h1 = h[:samples], h[samples:]
     residuals["invariance"] = _rel(np.abs(h1 - g_b * h0), h1, g_b * h0)
 

@@ -22,7 +22,7 @@ import numpy as np
 from .equilibria import SimpleMechanicalSystem, central_config_residual, \
     xi_squared_from_config
 from .errors import CollisionDetected, DimensionMismatch, SchemaError
-from .phase import PhasePoint, ScalarField, _map_rows
+from .phase import PhasePoint, ScalarField, _dot_rows, _map_rows
 from .scaling import ScalingAction, SymmetryReport, lift_exponent, \
     verify_scaling_symmetry
 
@@ -200,17 +200,17 @@ def anisotropic_kepler_system(mu: float) -> SimpleMechanicalSystem:
     """U(q) = -(mu q_1^2 + q_2^2)^{-1/2}, one unit-mass body in the plane."""
     weights = np.array([mu, 1.0])
 
-    def potential(q):
-        return -1.0 / math.sqrt(float(weights @ (np.asarray(q) ** 2)))
+    def row(q):  # r^2 once; scalar Python pows keep the bits of one row
+        r2 = float(weights @ np.asarray(q) ** 2)
+        return -1.0 / math.sqrt(r2), r2 ** -1.5
 
-    def gradient(q):  # a scalar Python pow per row keeps the bits of one row
-        q = np.asarray(q, dtype=float)
-        scale = _map_rows(lambda row: float(weights @ row ** 2) ** -1.5, q)
-        return weights * q * np.expand_dims(scale, -1)
+    def kernel(q):
+        u, scale = _map_rows(row, q)
+        return u, weights * q * np.expand_dims(scale, -1)
 
     return SimpleMechanicalSystem(
-        mass_matrix=np.eye(2), potential=potential,
-        potential_gradient=gradient, alpha=-1.0, name="anisotropic-kepler")
+        mass_matrix=np.eye(2), potential_and_gradient=kernel, alpha=-1.0,
+        name="anisotropic-kepler")
 
 
 def homogeneous_system(potential, gradient, n: int, alpha: float, *,
@@ -219,8 +219,8 @@ def homogeneous_system(potential, gradient, n: int, alpha: float, *,
     """Wrap a homogeneous potential, checking U(g q) = g^alpha U(q) at 8
     seeded probes.
 
-    ``potential`` and ``gradient`` take one configuration; the system maps
-    ``gradient`` over the rows of a (..., n) stack.
+    ``potential`` and ``gradient`` take one configuration; the system's
+    kernel maps both over the rows of a (..., n) stack.
     """
     rng = np.random.default_rng(0)
     for _ in range(8):
@@ -234,10 +234,13 @@ def homogeneous_system(potential, gradient, n: int, alpha: float, *,
     M = np.eye(n) if mass_matrix is None else np.asarray(mass_matrix, float)
     if M.shape != (n, n):
         raise DimensionMismatch(f"mass matrix shape {M.shape} != ({n}, {n})")
+
+    def row(q):
+        return float(potential(q)), gradient(q)
+
     return SimpleMechanicalSystem(
-        mass_matrix=M, potential=potential,
-        potential_gradient=lambda q: _map_rows(gradient, q), alpha=alpha,
-        name=name)
+        mass_matrix=M, potential_and_gradient=lambda q: _map_rows(row, q),
+        alpha=alpha, name=name)
 
 
 def power_law_system(n: int, alpha: float, k: float = -1.0,
@@ -265,8 +268,8 @@ def damped_oscillator(friction: float) -> ConformalSystem:
     q'' = -friction q' - q.
     """
 
-    def value(q, p) -> float:
-        return 0.5 * float(p @ p) + 0.5 * float(q @ q)
+    def value(q, p):
+        return 0.5 * _dot_rows(p, p) + 0.5 * _dot_rows(q, q)
 
     def grad(q, p):
         return q.copy(), p.copy()
@@ -307,6 +310,13 @@ def _action_from_json(fragment: dict, n: int, *, default_b: float) -> ScalingAct
                                   _number(fragment.get("b", default_b), "action b"))
 
 
+# The keys each system type reads, besides "type" and "z0".
+_SPEC_KEYS = {"nbody": ("masses", "dim", "collision_threshold", "action"),
+              "anisotropic-kepler": ("mu", "action"),
+              "homogeneous": ("alpha", "n", "k", "mass_matrix", "action"),
+              "damped-oscillator": ("b",)}
+
+
 def make_system(spec_json: dict) -> BuiltSystem:
     """Construct (system, action) from a JSON-style dict, without verifying
     the pair (``BuiltSystem.verify`` does that).
@@ -317,13 +327,19 @@ def make_system(spec_json: dict) -> BuiltSystem:
     "action": {...}?, "z0": [...]?}.  Every value is data: a "homogeneous"
     spec always builds the power law k |q|^alpha (``power_law_system``),
     and a custom homogeneous potential goes through the Python API,
-    ``homogeneous_system``.  A value of the wrong type, a non-finite number
-    or a non-integral count raises SchemaError.  Without an "action" the
-    pair is the uniform dilation with b = alpha and c = (2 + alpha) / 2.
+    ``homogeneous_system``.  A key that the spec's type does not read, a
+    value of the wrong type, a non-finite number or a non-integral count
+    raises SchemaError.  Without an "action" the pair is the uniform
+    dilation with b = alpha and c = (2 + alpha) / 2.
     """
     if not isinstance(spec_json, dict) or "type" not in spec_json:
         raise SchemaError("system spec must be a dict with a 'type' key")
     kind = spec_json["type"]
+    if kind not in list(_SPEC_KEYS):  # compared, not hashed: a list kind is unknown
+        raise SchemaError(f"unknown system type {kind!r}")
+    unread = [repr(k) for k in spec_json if k not in _SPEC_KEYS[kind] + ("type", "z0")]
+    if unread:
+        raise SchemaError(f"a {kind} spec does not read {', '.join(unread)}")
     z0 = spec_json.get("z0")
     if z0 is not None:
         z0 = _numbers(z0, "z0")
@@ -349,7 +365,7 @@ def make_system(spec_json: dict) -> BuiltSystem:
         system = anisotropic_kepler_system(_number(spec_json.get("mu", 2.0), "mu"))
         probe = None
         alpha = -1.0
-    elif kind == "homogeneous":
+    else:  # homogeneous
         for key in ("alpha", "n"):
             if key not in spec_json:
                 raise SchemaError(f"homogeneous spec needs '{key}'")
@@ -362,8 +378,6 @@ def make_system(spec_json: dict) -> BuiltSystem:
                                   k=_number(spec_json.get("k", -1.0), "k"),
                                   mass_matrix=mass_matrix)
         probe = None
-    else:
-        raise SchemaError(f"unknown system type {kind!r}")
 
     if spec_json.get("action") is not None:
         action = _action_from_json(spec_json["action"], system.n, default_b=alpha)

@@ -403,6 +403,15 @@ BAD_NUMBERS = {
                                   "--init", "abc6.csv", "--out", "bad.json"],
     "homothetic-nan-q": ["homothetic", "--re", "re-nan-q.json", "--out", "bad.json"],
     "homothetic-nan-xi": ["homothetic", "--re", "re-nan-xi.json", "--out", "bad.json"],
+    # numpy's generators take no negative seed; a count of jobs is at least 1
+    "solve-cc-negative-seed": ["solve-cc", "--system", "nbody3.json",
+                               "--seed", "-1", "--out", "bad.json"],
+    "verify-negative-seed": ["verify", "--system", "nbody3.json", "--checks",
+                             "symplectic", "--seed", "-1", "--out", "bad.json"],
+    "solve-cc-zero-jobs": ["solve-cc", "--system", "nbody3.json",
+                           "--jobs", "0", "--out", "bad.json"],
+    "solve-cc-negative-jobs": ["solve-cc", "--system", "nbody3.json",
+                               "--jobs", "-3", "--out", "bad.json"],
 }
 
 
@@ -478,6 +487,11 @@ BAD_SPECS = {
     "n-not-a-number": POWER_LAW | {"n": "x"},
     "mass-matrix-not-symmetric": POWER_LAW | {"mass_matrix": [[1, 2], [0, 1]]},
     "mass-matrix-wrong-shape": POWER_LAW | {"n": 3, "mass_matrix": [[1, 0], [0, 1]]},
+    # a key the type does not read would silently take no effect
+    "misspelled-collision-threshold": NBODY | {"colision_threshold": 0.5},
+    "action-on-a-damped-oscillator": {"type": "damped-oscillator", "b": 0.1,
+                                      "action": {"c": 1.0}},
+    "potential-on-a-power-law": POWER_LAW | {"potential": "lambda q: q @ q"},
 }
 
 

@@ -177,8 +177,8 @@ def test_xi_squared_scaling_covariance(triangle):
 def test_xi_squared_requires_alpha():
     from scalesym import SimpleMechanicalSystem
 
-    system = SimpleMechanicalSystem(np.eye(2), lambda q: float(q @ q),
-                                    lambda q: 2.0 * np.asarray(q, float))
+    system = SimpleMechanicalSystem(
+        np.eye(2), lambda q: (float(q @ q), 2.0 * np.asarray(q, float)))
     with pytest.raises(ValueError, match="alpha"):
         xi_squared_from_config(system, np.array([1.0, 0.0]))
 
@@ -205,10 +205,14 @@ def test_potential_and_gradient_is_evaluated_once_per_fused_call():
 
 
 def test_mechanical_system_needs_a_potential():
-    from scalesym import SchemaError, SimpleMechanicalSystem
+    from scalesym import SimpleMechanicalSystem
 
-    with pytest.raises(SchemaError, match="potential"):
-        SimpleMechanicalSystem(np.eye(2), lambda q: float(q @ q))
+    # one kernel, potential_and_gradient; the separate callables are gone
+    with pytest.raises(TypeError, match="potential_and_gradient"):
+        SimpleMechanicalSystem(np.eye(2))
+    with pytest.raises(TypeError, match="potential"):
+        SimpleMechanicalSystem(np.eye(2), potential=lambda q: float(q @ q),
+                               potential_gradient=lambda q: 2.0 * q)
 
 
 def test_xi_squared_rejects_zero_inertia(two_body):

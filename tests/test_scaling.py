@@ -22,7 +22,7 @@ from scalesym import (
     phase_jacobian_fd,
     verify_scaling_symmetry,
 )
-from scalesym.errors import NonFiniteValue
+from scalesym.errors import DimensionMismatch, NonFiniteValue
 from scalesym.phase import _conformal_field, _dot_rows, _worst
 from scalesym.scaling import _conformality_defects, _default_probe, _rel, \
     generator_config_jacobian
@@ -240,8 +240,7 @@ def test_verifier_detects_wrong_lift_exponent():
 
 def test_verifier_accepts_harmonic_oscillator_dilation():
     # K -> g^2 K, U -> g^2 U, omega -> g^2 omega for U = q^2 / 2, c = b = 2
-    osc = ScalarField(value=lambda q, p: 0.5 * float(p @ p) + 0.5 * float(q @ q),
-                      grad=lambda q, p: (q.copy(), p.copy()))
+    osc = ScalarField.from_value(lambda q, p: 0.5 * float(p @ p) + 0.5 * float(q @ q))
     report = verify_scaling_symmetry(ScalingAction.uniform_dilation(2, 2.0, 2.0),
                                      osc, samples=32, seed=0)
     assert report.passed
@@ -341,7 +340,7 @@ def test_verifier_fails_a_nan_residual():
             return float("nan")
         return 1.5 * float(p @ p + q @ q)
 
-    H = ScalarField(value=value, grad=lambda q, p: (3.0 * q, 3.0 * p))
+    H = ScalarField.from_value(value)  # the verifier reads only H's value
     report = verify_scaling_symmetry(ScalingAction.uniform_dilation(2, 2.0, 2.0),
                                      H, samples=32, seed=0)
     assert not report.passed
@@ -355,8 +354,7 @@ def test_verifier_fails_a_nan_residual():
                          ids=["dilation", "custom"])
 def test_verifier_validates_only_its_probes(phase_point_count, action):
     # the lifted probe, the fields of J and the generator stay bare arrays
-    H = ScalarField(value=lambda q, p: 0.5 * float(p @ p + q @ q),
-                    grad=lambda q, p: (q.copy(), p.copy()))
+    H = ScalarField.from_value(lambda q, p: 0.5 * float(p @ p + q @ q))
 
     def run():
         verify_scaling_symmetry(action, H, samples=8, seed=2)
@@ -414,7 +412,7 @@ def test_verifier_redraws_a_probe_where_the_field_is_singular():
             raise ZeroDivisionError("singular")
         return 1.5 * float(p @ p + q @ q)
 
-    H = ScalarField(value=value, grad=lambda q, p: (3.0 * q, 3.0 * p))
+    H = ScalarField.from_value(value)
     report = verify_scaling_symmetry(ScalingAction.uniform_dilation(2, 2.0, 2.0),
                                      H, samples=4)
     assert report.passed
@@ -422,6 +420,16 @@ def test_verifier_redraws_a_probe_where_the_field_is_singular():
         verify_scaling_symmetry(ScalingAction.uniform_dilation(2, 2.0, 2.0),
                                 ScalarField(value=lambda q, p: 1 / 0,
                                             grad=lambda q, p: (q, p)))
+
+
+def test_verifier_rejects_a_value_written_for_one_state():
+    # float() reduces the whole (2S, n) stack of probes and lifted probes to
+    # one number, which no check could read row by row
+    H = ScalarField(value=lambda q, p: 0.5 * float(np.sum(p * p + q * q)),
+                    grad=lambda q, p: (q.copy(), p.copy()))
+    with pytest.raises(DimensionMismatch, match="value returned shape"):
+        verify_scaling_symmetry(ScalingAction.uniform_dilation(2, 2.0, 2.0), H,
+                                samples=4)
 
 
 # --- the stacked verifier against a loop over single probes ---------------
@@ -536,8 +544,7 @@ def per_probe_residuals(action, H, samples, seed, probe=None) -> dict:
 
 
 def _oscillator():
-    return ScalarField(value=lambda q, p: 0.5 * float(p @ p) + 0.5 * float(q @ q),
-                       grad=lambda q, p: (q.copy(), p.copy()))
+    return ScalarField.from_value(lambda q, p: 0.5 * float(p @ p) + 0.5 * float(q @ q))
 
 
 def _built(spec):
@@ -549,7 +556,7 @@ def _nan_past_1_5():
     def value(q, p):
         return float("nan") if np.any(np.abs(q) > 1.5) else 1.5 * float(p @ p + q @ q)
 
-    return ScalarField(value=value, grad=lambda q, p: (3.0 * q, 3.0 * p))
+    return ScalarField.from_value(value)
 
 
 def _custom_with_nan_dpsi():

@@ -1,12 +1,12 @@
-"""The ScalarField stack contract: grad on a (B, n) stack equals, row for
-row and bit for bit, grad on each row alone.
+"""The ScalarField stack contract: value and grad on a (B, n) stack equal,
+row for row and bit for bit, value and grad on each row alone.
 
-flow_jacobian integrates its probes as one stack and relies on this, so
-every in-package field is swept here over random stacks.  The fused
-``value_and_grad``, which RK4 nodes call, is held to ``value`` and to that
-stacked ``grad`` the same way, and so are ``values``, which the scaling
-verifier reads on its whole probe stack, and the row-by-row momentum map
-and lift that the Noether series and the homothetic check apply to whole
+flow_jacobian integrates its probes as one stack and the scaling verifier
+reads H on its whole probe stack, and both rely on this, so every
+in-package field is swept here over random stacks.  The fused
+``value_and_grad``, which RK4 nodes call, is held to ``value`` and to the
+stacked ``grad`` the same way, and so are the row-by-row momentum map and
+lift that the Noether series and the homothetic check apply to whole
 trajectories.
 """
 
@@ -27,7 +27,7 @@ from scalesym import (
     nbody_system,
     power_law_system,
 )
-from scalesym import systems
+from scalesym import make_system, systems, verify_scaling_symmetry
 from scalesym.scaling import act_phase, momentum_map
 
 from conftest import quadratic_action
@@ -68,11 +68,12 @@ def _stack(draw, n, elements=_coordinates):
 
 
 def assert_values_match_rows(field: ScalarField, Q, P):
-    """values on the stack is value at each row alone, bit for bit, and on
-    one state it is value's float."""
+    """value on the stack is one value per row, each that of the row
+    alone, bit for bit."""
     rows = [field.value(q.copy(), p.copy()) for q, p in zip(Q, P)]
-    assert _bits(field.values(Q, P)) == _bits(rows)
-    assert _bits(field.values(Q[0].copy(), P[0].copy())) == _bits(rows[0])
+    stacked = field.value(Q, P)
+    assert np.shape(stacked) == (len(Q),)
+    assert _bits(stacked) == _bits(rows)
 
 
 @st.composite
@@ -196,7 +197,7 @@ def test_damped_oscillator_value_and_grad_is_value_and_grad(friction, stack):
     assert_fused_matches_separate(damped_oscillator(friction).field, *stack)
 
 
-# --- values: H on a whole stack, the same bits --------------------------------
+# --- value: H on a whole stack, the same bits ---------------------------------
 
 @settings(derandomize=True, database=None, deadline=None)
 @given(_nbody_stacks(max_bodies=20))
@@ -233,7 +234,7 @@ def test_nbody_values_of_a_stack_is_one_kernel_call(monkeypatch):
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(systems, "nbody_potential_and_gradient", counted)
-    field.values(Q, rng.uniform(-1.0, 1.0, (8, spec.n)))
+    field.value(Q, rng.uniform(-1.0, 1.0, (8, spec.n)))
     assert calls == [(8, spec.n)]
 
 
@@ -243,16 +244,65 @@ def test_nbody_values_raise_for_one_colliding_row():
     Q = np.tile([0.0, 0.0, 1.0, 0.0, 0.0, 1.0], (4, 1))
     Q[2, 2:4] = 0.0  # body 1 on body 0 in row 2 only
     with pytest.raises(CollisionDetected):
-        field.values(Q, np.zeros_like(Q))
+        field.value(Q, np.zeros_like(Q))
 
 
 def test_a_one_state_field_gets_values_row_by_row():
-    # value reduces over its whole argument, so it is right for one state only
-    field = ScalarField(value=lambda q, p: float(q @ q) + float(p.sum()),
-                        grad=lambda q, p: (2.0 * q, np.ones_like(p)))
+    # value reduces over its whole argument, so it is right for one state
+    # only; from_value maps it over the rows
+    field = ScalarField.from_value(lambda q, p: float(q @ q) + float(p.sum()))
     Q, P = np.random.default_rng(5).normal(size=(2, 6, 3))
     assert_values_match_rows(field, Q, P)
-    assert field.values(Q.reshape(2, 3, 3), P.reshape(2, 3, 3)).shape == (2, 3)
+    assert field.value(Q.reshape(2, 3, 3), P.reshape(2, 3, 3)).shape == (2, 3)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(st.data(), st.integers(2, 4))
+def test_homogeneous_values_with_full_mass_matrix_are_each_rows_value(data, n):
+    a = data.draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
+    system = homogeneous_system(
+        lambda q: -1.0 / np.sqrt(q @ q), lambda q: q * (q @ q) ** -1.5, n, -1.0,
+        mass_matrix=a @ a.T + n * np.eye(n) + 0.5 * (1 - np.eye(n)))
+    assert system._mass_diagonal is None
+    assert_values_match_rows(system.hamiltonian_field(),
+                             *data.draw(_stack(n, elements=_nonzero)))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.floats(0.0, 2.0), st.integers(1, 4), st.data())
+def test_damped_oscillator_values_are_each_rows_value(friction, n, data):
+    assert_values_match_rows(damped_oscillator(friction).field, *data.draw(_stack(n)))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.data(), st.integers(1, 5), st.floats(-3.0, 3.0), st.booleans())
+def test_momentum_field_values_are_each_rows_value(data, n, xi, custom):
+    if custom:
+        action, n = quadratic_action(), 2
+    else:
+        weights = data.draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
+        action = ScalingAction.dilation(weights, 0.5, -1.0)
+    assert_values_match_rows(momentum_field(action, xi), *data.draw(_stack(n)))
+
+
+def test_verifier_reads_h_in_one_kernel_call(monkeypatch):
+    # a field rebuilt from H's value and grad keeps H's stacked value, so
+    # the verifier reads its 32 probes and 32 lifted probes in one call
+    built = make_system({"type": "nbody", "masses": [1.0, 1.3, 0.8], "dim": 2})
+    H = built.system.hamiltonian_field()
+    expected = built.verify().to_dict()
+    calls = []
+    kernel = systems.nbody_potential_and_gradient
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(systems, "nbody_potential_and_gradient", counted)
+    report = verify_scaling_symmetry(built.action, ScalarField(value=H.value, grad=H.grad),
+                                     probe=built.probe)
+    assert calls == [(64, 6)]
+    assert report.to_dict() == expected
 
 
 # --- whole trajectories: momentum map and lift, row by row --------------------

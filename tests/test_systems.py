@@ -198,6 +198,23 @@ def test_make_system_schema_errors(bad):
         make_system(bad)
 
 
+@pytest.mark.parametrize("spec, unread", [
+    # a misspelled key would leave the collision threshold at 1e-6
+    ({"type": "nbody", "masses": [1, 1], "dim": 2, "colision_threshold": 0.5},
+     ["'colision_threshold'"]),
+    ({"type": "damped-oscillator", "b": 0.1, "action": {"c": 1.0}}, ["'action'"]),
+    ({"type": "homogeneous", "alpha": -1, "n": 2, "potential": "q @ q",
+      "gradient": "2 q"}, ["'potential'", "'gradient'"]),
+    ({"type": "anisotropic-kepler", "masses": [1, 1]}, ["'masses'"]),
+])
+def test_make_system_names_every_key_its_type_does_not_read(spec, unread):
+    with pytest.raises(SchemaError, match="does not read") as excinfo:
+        make_system(spec)
+    assert all(key in str(excinfo.value) for key in unread)
+    assert make_system({k: v for k, v in spec.items()
+                        if repr(k) not in unread}).system is not None
+
+
 @pytest.mark.parametrize("alpha", [-1.5, -1.0, 1.0, 3.0])
 def test_make_system_derives_c_from_kinetic_weight_two(alpha):
     # a constant metric, however coupled, scales by g^2 under the uniform
