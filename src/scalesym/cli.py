@@ -195,7 +195,6 @@ def cmd_solve_cc(args) -> int:
                                "config": _resolved_config(args)})
         return EXIT_VERIFICATION
 
-    rng = np.random.default_rng(args.seed)
     init = _load_vector(args.init) if args.init else None
     if init is not None and len(init) != system.n:
         raise SchemaError(f"--init has {len(init)} values, expected {system.n}")

@@ -26,13 +26,12 @@ call per RK4 stage for the whole stack.
 Fields compute each row as if it came alone (the ``ScalarField``
 contract), so the stacked flow equals the row-by-row one bit for bit.
 
-Each RK4 step evaluates the field four times: once at its starting node
-and once at each of its three later stages, which call ``F.grad``.  Where
-a node is recorded (``integrate``), the node's one call is
-``F.value_and_grad``, so the trajectory's H costs no extra evaluation, and
-the final node adds one more: 4m + 1 calls for m steps.  Unrecorded
-(``flow_jacobian``), nodes call ``F.grad`` and the final node is skipped:
-4m calls.  For the n-body Hamiltonian each call is one kernel call.
+Each RK4 step calls ``F.grad`` four times: once at its starting node and
+once at each of its three later stages.  ``integrate`` also reads X at the
+final node for its diagnostics, 4m + 1 calls for m steps, where
+``flow_jacobian`` makes 4m.  After the loop, ``integrate`` reads the
+trajectory's H by ``F.value`` on blocks of stored nodes, one call per
+block.  For the n-body Hamiltonian each call is one kernel call.
 
 Each trajectory carries per-step diagnostics: the conformal Hamiltonian H,
 the momentum J (the action's ``momentum_map``, or p . q without one),
@@ -132,14 +131,12 @@ def _rk4(F: ScalarField, c: float, y: np.ndarray, m: int, dt: float,
     """m RK4 steps of dt from the flat state y = (q, p), or from a (B, 2n)
     stack of them, returning the last one.
 
-    Each node is checked for finiteness.  With a node callback, the node's
-    one evaluation is ``F.value_and_grad``, and node(k, y, X(y), F(y)) sees
-    it: m + 1 node calls and 3m stage calls of ``F.grad``, 4m + 1 in all.
-    Without one, nodes call ``F.grad`` and the final node, which no step
-    needs, is not evaluated: 4m calls.  X is ``_conformal_field``, so F.grad
-    must return arrays shaped like its arguments; a field written for one
-    state that drops the stack axis raises DimensionMismatch."""
-    n = y.shape[-1] // 2
+    Each node is checked for finiteness.  X is ``_conformal_field``, one
+    ``F.grad`` call, at each node and stage.  With a node callback,
+    node(k, y, X(y)) sees every node: 4m + 1 calls.  Without one, the final
+    node, which no step needs, is not evaluated: 4m calls.  F.grad must
+    return arrays shaped like its arguments; a field written for one state
+    that drops the stack axis raises DimensionMismatch."""
     for k in range(m + 1):
         if k:
             k2 = _conformal_field(F, c, y + 0.5 * dt * ydot)
@@ -148,12 +145,10 @@ def _rk4(F: ScalarField, c: float, y: np.ndarray, m: int, dt: float,
             y = y + (dt / 6.0) * (ydot + 2 * k2 + 2 * k3 + k4)
         if not np.isfinite(y).all():
             raise NonFiniteValue(f"state became non-finite at t={k * dt}")
-        if node is not None:
-            value, grad = F.value_and_grad(y[..., :n], y[..., n:])
-            ydot = _conformal_field(F, c, y, grad)
-            node(k, y, ydot, value)
-        elif k < m:
+        if node is not None or k < m:
             ydot = _conformal_field(F, c, y)
+        if node is not None:
+            node(k, y, ydot)
     return y
 
 
@@ -161,10 +156,12 @@ def integrate(F: ScalarField, c: float, z0: PhasePoint, t_final: float,
               dt: float, *, action: ScalingAction | None = None) -> Trajectory:
     """Integrate the conformal vector field of F with classical RK4.
 
-    Each node's H and X come from one ``F.value_and_grad`` call, each later
-    stage's X from ``F.grad``; either may raise to abort the run (the
-    n-body kernel raises CollisionDetected inside its threshold).  J is
-    the action's momentum map of each row, or p . q without an action.
+    Each node's and stage's X comes from one ``F.grad`` call, which may
+    raise to abort the run (the n-body kernel raises CollisionDetected
+    inside its threshold).  H is read after the loop by ``F.value`` on
+    blocks of 128 stored nodes; each block must give one value per row,
+    else DimensionMismatch.  J is the action's momentum map of each row, or
+    p . q without an action.
     """
     m = _step_count(t_final, dt)
     n = z0.n
@@ -174,14 +171,20 @@ def integrate(F: ScalarField, c: float, z0: PhasePoint, t_final: float,
     energy = np.empty(m + 1)
     theta_rate = np.empty(m + 1)
 
-    def record(k: int, y: np.ndarray, ydot: np.ndarray, value: float):
+    def record(k: int, y: np.ndarray, ydot: np.ndarray):
         # theta(X) = p . dF/dp and dq/dt = dF/dp, so reuse the node's X eval.
         q, p = y[:n], y[n:]
         qs[k], ps[k] = q, p
-        energy[k] = value
         theta_rate[k] = float(p @ ydot[:n])
 
     _rk4(F, c, z0.flat(), m, dt, record)
+    # Blocks of 128 rows: bounded temporaries for a large field's kernel.
+    for k in range(0, m + 1, 128):
+        rows = slice(k, k + 128)
+        h = F.value(qs[rows], ps[rows])
+        if np.shape(h) != energy[rows].shape:
+            raise DimensionMismatch(f"value returned shape {np.shape(h)} for a stack")
+        energy[rows] = h
     momentum = momentum_map(action, qs, ps) if action is not None else _dot_rows(ps, qs)
     trapezoids = 0.5 * dt * (theta_rate[:-1] + theta_rate[1:])
     return Trajectory(times=np.arange(m + 1) * dt, qs=qs, ps=ps, energy=energy,

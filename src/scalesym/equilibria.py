@@ -50,8 +50,7 @@ class SimpleMechanicalSystem:
     when known.  ``masses``/``dim`` are set for point-particle systems whose
     configuration is bodies x dim flattened; they switch on the
     center-of-mass constraint in the solver.  ``hamiltonian_field()`` gives
-    H = (1/2) p . M^{-1} p + U as a ScalarField on the same kernel, its
-    formula written once, in ``_energy``.
+    H = (1/2) p . M^{-1} p + U as a ScalarField on the same kernel.
     """
 
     mass_matrix: np.ndarray
@@ -107,23 +106,15 @@ class SimpleMechanicalSystem:
             return p / self._mass_diagonal
         return np.linalg.solve(self.mass_matrix, p[..., None])[..., 0]
 
-    def _energy(self, p, u):
-        """H = (1/2) p . M^{-1} p + u for the potential's value u at q: a
-        float for one state, row by row for (..., n) stacks."""
-        p = np.asarray(p, dtype=float)
-        return 0.5 * _dot_rows(p, self._inverse_mass(p)) + u
-
     def hamiltonian_field(self) -> ScalarField:
-        def grad(q, p):  # an RK4 stage reads no H
+        def value(q, p):  # a float for one state, row by row for stacks
+            p = np.asarray(p, dtype=float)
+            return 0.5 * _dot_rows(p, self._inverse_mass(p)) + self.potential(q)
+
+        def grad(q, p):
             return np.asarray(self.potential_gradient(q), float), self._inverse_mass(p)
 
-        def value_and_grad(q, p):  # one evaluation of U
-            u, grad_u = self.potential_and_gradient(q)
-            return (self._energy(p, u),
-                    (np.asarray(grad_u, dtype=float), self._inverse_mass(p)))
-
-        return ScalarField(value=lambda q, p: self._energy(p, self.potential(q)),
-                           grad=grad, value_and_grad=value_and_grad)
+        return ScalarField(value=value, grad=grad)
 
 
 @dataclass(frozen=True)

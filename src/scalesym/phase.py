@@ -29,9 +29,8 @@ A field's ``value`` and ``grad`` also take stacks: q and p of shape
 (..., n), one state per row, with every row computed as if it came alone.
 That is what lets ``flow_jacobian`` integrate all of its probes at once,
 and the scaling verifier read H on its whole probe stack in one call.
-Where both the value and the gradient at one state are read (an RK4 node
-that ``integrate`` records), a field's ``value_and_grad`` gives them, from
-one evaluation when the field supplies a fused form.
+The conformal vector field reads ``grad`` alone; ``integrate`` reads a
+trajectory's H by ``value`` on stacks of its stored nodes.
 
 The module also provides the central-difference Jacobian behind every
 numerical derivative in the package: the gradient oracle for analytic
@@ -111,27 +110,14 @@ class ScalarField:
     analytic gradient is available; its finite-difference gradient
     satisfies the same contract at reduced accuracy.
 
-    ``value_and_grad(q, p)`` returns ``(value(q, p), grad(q, p))`` from one
-    evaluation where the field has one, and takes what ``value`` takes: the
-    value is ``value``'s and the arrays are ``grad``'s, bit for bit.  Left
-    out, it is the two separate calls, so a field whose value and gradient
-    share no work need not supply it.
+    RK4 stages and nodes call ``grad`` alone; ``integrate`` reads H by
+    ``value`` on stacks of stored nodes, and the scaling verifier on its
+    probe stack, so a ``value`` that returns one float for a stack raises
+    DimensionMismatch there.
     """
 
     value: Callable[[np.ndarray, np.ndarray], float | np.ndarray]
     grad: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-    value_and_grad: Callable[[np.ndarray, np.ndarray],
-                             tuple[float, tuple[np.ndarray, np.ndarray]]] | None = None
-
-    def __post_init__(self):
-        if self.value_and_grad is None:
-            value, grad = self.value, self.grad
-
-            def value_and_grad(q, p):
-                g = grad(q, p)  # first, so a node raises what a stage would
-                return value(q, p), g
-
-            object.__setattr__(self, "value_and_grad", value_and_grad)
 
     @classmethod
     def from_value(cls, value: Callable[..., float]) -> "ScalarField":
@@ -184,21 +170,18 @@ def omega_matrix(n: int) -> np.ndarray:
     return np.block([[zero, eye], [-eye, zero]])
 
 
-def _conformal_field(F: ScalarField, c, y: np.ndarray, grad=None) -> np.ndarray:
+def _conformal_field(F: ScalarField, c, y: np.ndarray) -> np.ndarray:
     """X_F^c = (dF/dp, -dF/dq + c p) at the flat state y = (q, p), or row by
     row on a (..., 2n) stack of them, with c a float or a (..., 1) column.
 
-    grad is F's gradient at y when it is already known, and F is then not
-    called.  The gradient must come back shaped like the states; a field
-    written for one state that drops the stack axis raises
+    F.grad is called once and must return arrays shaped like the states; a
+    field written for one state that drops the stack axis raises
     DimensionMismatch.  Finiteness is left to the caller (RK4 checks each
     node).
     """
     n = y.shape[-1] // 2
     q, p = y[..., :n], y[..., n:]
-    if grad is None:
-        grad = F.grad(q, p)
-    gq, gp = (np.asarray(g, float) for g in grad)
+    gq, gp = (np.asarray(g, float) for g in F.grad(q, p))
     if gq.shape != q.shape or gp.shape != p.shape:
         raise DimensionMismatch(
             f"grad returned shapes {gq.shape}, {gp.shape} for states of "

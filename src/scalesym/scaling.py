@@ -230,10 +230,12 @@ def _momentum_grad(action: ScalingAction, xi, q, p) -> tuple[np.ndarray, np.ndar
 
 
 def momentum_field(action: ScalingAction, xi: float = 1.0) -> ScalarField:
-    """J_xi as a ScalarField with analytic gradient."""
+    """J_xi as a ScalarField with analytic gradient; xi is a float or, on
+    (..., n) stacks, a (..., 1) column."""
 
-    def value(q, p) -> float:
-        return xi * momentum_map(action, q, p)
+    def value(q, p):
+        J = momentum_map(action, q, p)
+        return xi * J if np.ndim(xi) == 0 else np.asarray(xi)[..., 0] * J
 
     return ScalarField(value=value, grad=lambda q, p: _momentum_grad(action, xi, q, p))
 

@@ -222,11 +222,18 @@ def homogeneous_system(potential, gradient, n: int, alpha: float, *,
     ``potential`` and ``gradient`` take one configuration; the system's
     kernel maps both over the rows of a (..., n) stack.
     """
+    return _homogeneous_system(lambda q: (float(potential(q)), gradient(q)), n,
+                               alpha, mass_matrix, name)
+
+
+def _homogeneous_system(row, n, alpha, mass_matrix, name) -> SimpleMechanicalSystem:
+    """The system whose kernel maps row(q) -> (U, grad U), written for one
+    configuration, over the rows of a stack, once U passes the 8 probes."""
     rng = np.random.default_rng(0)
     for _ in range(8):
         q = rng.uniform(0.3, 1.2, size=n) * rng.choice([-1.0, 1.0], size=n)
         g = float(np.exp(rng.uniform(-0.5, 0.5)))
-        u0, u1 = float(potential(q)), float(potential(g * q))
+        u0, u1 = row(q)[0], row(g * q)[0]
         if abs(u1 - g ** alpha * u0) > 1e-8 * max(1.0, abs(u1)):
             raise SchemaError(
                 f"potential is not homogeneous of degree {alpha}: "
@@ -234,31 +241,24 @@ def homogeneous_system(potential, gradient, n: int, alpha: float, *,
     M = np.eye(n) if mass_matrix is None else np.asarray(mass_matrix, float)
     if M.shape != (n, n):
         raise DimensionMismatch(f"mass matrix shape {M.shape} != ({n}, {n})")
-
-    def row(q):
-        return float(potential(q)), gradient(q)
-
     return SimpleMechanicalSystem(
         mass_matrix=M, potential_and_gradient=lambda q: _map_rows(row, q),
         alpha=alpha, name=name)
 
 
-def power_law_system(n: int, alpha: float, k: float = -1.0,
-                     **kwargs) -> SimpleMechanicalSystem:
+def power_law_system(n: int, alpha: float, k: float = -1.0, *, mass_matrix=None,
+                     name: str | None = None) -> SimpleMechanicalSystem:
     """Radial power law U(q) = k |q|^alpha, the JSON-schema homogeneous family."""
     if alpha == 0:
         raise SchemaError("degree 0 gives a constant potential; nothing to solve")
 
-    def potential(q):
+    def row(q):  # r^2 once; scalar Python pows keep the bits of one row
         q = np.asarray(q, dtype=float)
-        return k * float(q @ q) ** (alpha / 2.0)
+        r2 = float(q @ q)
+        return k * r2 ** (alpha / 2.0), k * alpha * r2 ** (alpha / 2.0 - 1.0) * q
 
-    def gradient(q):
-        q = np.asarray(q, dtype=float)
-        return k * alpha * float(q @ q) ** (alpha / 2.0 - 1.0) * q
-
-    kwargs.setdefault("name", f"power-law({alpha})")
-    return homogeneous_system(potential, gradient, n, alpha, **kwargs)
+    return _homogeneous_system(row, n, alpha, mass_matrix,
+                               f"power-law({alpha})" if name is None else name)
 
 
 def damped_oscillator(friction: float) -> ConformalSystem:

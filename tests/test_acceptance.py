@@ -151,7 +151,7 @@ def test_criterion_07_conformal_flow_certification():
     conformal = np.max(np.abs(A.T @ omega @ A - math.exp(-0.1) * omega))
     volume = abs(np.linalg.det(A) - math.exp(-0.1))
 
-    osc = ScalarField(value=lambda q, p: 0.5 * float(p @ p) + 0.5 * float(q @ q),
+    osc = ScalarField(value=lambda q, p: 0.5 * np.sum(p * p + q * q, axis=-1),
                       grad=lambda q, p: (q.copy(), p.copy()))
     A0 = flow_jacobian(osc, 0.0, PhasePoint([0.8], [0.1]), 1.0, 1e-3)
     volume0 = abs(np.linalg.det(A0) - 1.0)

@@ -38,7 +38,7 @@ from scalesym.scaling import act_phase
 from conftest import kepler_action
 
 
-FREE = ScalarField(value=lambda q, p: 0.5 * float(p @ p),
+FREE = ScalarField(value=lambda q, p: 0.5 * np.sum(p * p, axis=-1),
                    grad=lambda q, p: (np.zeros_like(q), p.copy()))
 
 GAMMA = 0.05
@@ -124,7 +124,7 @@ def test_flow_jacobian_damped_oscillator_matrix_exponential():
 
 
 def test_conformal_flow_hamiltonian_case_is_symplectic():
-    osc = ScalarField(value=lambda q, p: 0.5 * float(p @ p) + 0.5 * float(q @ q),
+    osc = ScalarField(value=lambda q, p: 0.5 * np.sum(p * p + q * q, axis=-1),
                       grad=lambda q, p: (q.copy(), p.copy()))
     traj = integrate(osc, 0.0, PhasePoint([0.7], [-0.2]), 1.0, 1e-3)
     report = verify_conformal_flow(osc, 0.0, traj, 1.0, 1e-3)
@@ -212,7 +212,7 @@ def test_noether_degree_minus_two_zero_energy():
 
 def test_noether_rate_harmonic_oscillator_dilation():
     # dJ/dt = -b H + c theta(X_H) = -2H + 4K for c = b = 2
-    osc = ScalarField(value=lambda q, p: 0.5 * float(p @ p) + 0.5 * float(q @ q),
+    osc = ScalarField(value=lambda q, p: 0.5 * np.sum(p * p + q * q, axis=-1),
                       grad=lambda q, p: (q.copy(), p.copy()))
     action = ScalingAction.uniform_dilation(1, 2.0, 2.0)
     traj = integrate(osc, 0.0, PhasePoint([0.8], [0.3]), 2.0, 1e-3, action=action)
@@ -363,7 +363,7 @@ def test_flow_jacobian_overflowing_gradient_raises():
 def test_flow_jacobian_rejects_a_gradient_that_drops_the_stack_axis():
     # Written for one state: np.array([q[0]]) is (1,) for one state but
     # (1, 1) for the (4, 1) probe stack, where it would broadcast silently.
-    field = ScalarField(value=lambda q, p: 0.5 * float(q @ q + p @ p),
+    field = ScalarField(value=lambda q, p: 0.5 * np.sum(q * q + p * p, axis=-1),
                         grad=lambda q, p: (np.array([q[0]]), p.copy()))
     z0 = PhasePoint([1.0], [0.0])
     integrate(field, 0.0, z0, 0.1, 1e-2)
@@ -407,10 +407,10 @@ def test_gradient_calls_per_stack():
 
 
 def test_nbody_kernel_calls_per_step(monkeypatch):
-    # integrate: one kernel call per RK4 node (value and gradient together)
-    # and one per later stage; flow_jacobian: one per stage on its stack.
+    # integrate: one kernel call per RK4 node and stage, then one per block
+    # of 128 stored nodes for H; flow_jacobian: one per stage on its stack.
     F, c, z0 = _flow_case("nbody3")
-    m = 10
+    m = 200
     calls = []
     kernel = systems.nbody_potential_and_gradient
 
@@ -419,14 +419,22 @@ def test_nbody_kernel_calls_per_step(monkeypatch):
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(systems, "nbody_potential_and_gradient", counted)
-    traj = integrate(F, c, z0, m * 1e-2, 1e-2)
-    assert calls == [(z0.n,)] * (4 * m + 1)
+    traj = integrate(F, c, z0, m * 1e-3, 1e-3)
+    assert calls == [(z0.n,)] * (4 * m + 1) + [(128, z0.n), (m + 1 - 128, z0.n)]
     calls.clear()
-    flow_jacobian(F, c, z0, m * 1e-2, 1e-2)
-    assert calls == [(4 * z0.n, z0.n)] * (4 * m)
+    flow_jacobian(F, c, z0, 10 * 1e-3, 1e-3)
+    assert calls == [(4 * z0.n, z0.n)] * (4 * 10)
     # each node's H is the float that F.value returns there
     assert traj.energy.tobytes() == np.array(
         [F.value(q, p) for q, p in zip(traj.qs, traj.ps)]).tobytes()
+
+
+def test_integrate_rejects_a_value_written_for_one_state():
+    # float() reduces a whole block of stored nodes to one number
+    field = ScalarField(value=lambda q, p: 0.5 * float(np.sum(p * p + q * q)),
+                        grad=lambda q, p: (q.copy(), p.copy()))
+    with pytest.raises(DimensionMismatch, match="value returned shape"):
+        integrate(field, 0.0, PhasePoint([1.0], [0.0]), 0.1, 1e-2)
 
 
 @pytest.mark.parametrize("xi", [2.0, -2.0])

@@ -183,25 +183,29 @@ def test_xi_squared_requires_alpha():
         xi_squared_from_config(system, np.array([1.0, 0.0]))
 
 
-def test_potential_and_gradient_is_evaluated_once_per_fused_call():
-    from scalesym import SimpleMechanicalSystem
+def test_potential_and_gradient_is_evaluated_once_per_rk4_call():
+    from scalesym import SimpleMechanicalSystem, integrate
 
     calls = []
 
     def both(q):
-        calls.append(1)
-        return float(q @ q), 2.0 * q
+        calls.append(np.shape(q))
+        return np.sum(q * q, axis=-1), 2.0 * q
 
     system = SimpleMechanicalSystem(np.diag([1.0, 2.0]), potential_and_gradient=both)
     q, p = np.array([0.5, -1.0]), np.array([2.0, 1.0])
     assert system.potential(q) == 1.25 and len(calls) == 1
     assert np.array_equal(system.potential_gradient(q), [1.0, -2.0])
-    calls.clear()
     H = system.hamiltonian_field()
-    value, (gq, gp) = H.value_and_grad(q, p)
-    assert len(calls) == 1
-    assert value == H.value(q, p) == 2.25 + 1.25
+    gq, gp = H.grad(q, p)
+    assert H.value(q, p) == 2.25 + 1.25
     assert np.array_equal(gq, [1.0, -2.0]) and np.array_equal(gp, [2.0, 0.5])
+    # RK4 reads one kernel call per node and stage, then H on blocks of
+    # 128 stored nodes
+    calls.clear()
+    m = 200
+    integrate(H, 0.0, PhasePoint(q, p), m * 1e-3, 1e-3)
+    assert calls == [(2,)] * (4 * m + 1) + [(128, 2), (m + 1 - 128, 2)]
 
 
 def test_mechanical_system_needs_a_potential():

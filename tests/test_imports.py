@@ -6,7 +6,9 @@ syntax tree with the standard library: a name bound by ``import`` or
 ``from ... import`` must appear as a name somewhere else in the module.
 ``__init__.py`` is exempt, because its imports are the package's exports.
 A private module-level function or class, or a private method other than
-a dunder, must be read as a name or an attribute in some module.
+a dunder, must be read as a name or an attribute in some module.  A name
+that a function stores must be read in that function or in a function
+nested in it.
 """
 
 import ast
@@ -88,3 +90,58 @@ def test_an_unread_private_definition_is_reported():
               "    def _read(self):\n        return 0\n")
     user = "from .a import _Box\nvalue = _Box()._read()\n"
     assert unread_private_definitions([module, user]) == ["_dead", "_unread"]
+
+
+def _own_nodes(function):
+    """The nodes of function's own scope: its body, without the bodies of
+    the functions, lambdas and classes defined in it."""
+    stack = list(ast.iter_child_nodes(function))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, FUNCTIONS + (ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _position(node):
+    return getattr(node, "lineno", 0), getattr(node, "col_offset", 0)
+
+
+def unread_locals(source: str) -> list[str]:
+    """``function:name`` for each name a function stores and never reads,
+    in source order, nested functions included; a read in a nested function
+    counts, and names that start with ``_`` or are declared global or
+    nonlocal are skipped."""
+    found = []
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, FUNCTIONS + (ast.Lambda,)):
+            continue
+        own = list(_own_nodes(function))
+        shared = {name for node in own if isinstance(node, (ast.Global, ast.Nonlocal))
+                  for name in node.names}
+        stored = [node.id for node in sorted(own, key=_position)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+        read = {node.id for node in ast.walk(function)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= {node.target.id for node in ast.walk(function)
+                 if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name)}
+        name = getattr(function, "name", "<lambda>")
+        found += [f"{name}:{local}" for local in dict.fromkeys(stored)
+                  if local not in read | shared and not local.startswith("_")]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_every_local_is_read(path):
+    assert unread_locals(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_unread_local_is_reported():
+    source = ("def f(x):\n"
+              "    rng = x + 1\n"
+              "    total = 0\n    total += x\n"
+              "    for _, item in enumerate(x):\n        pass\n"
+              "    seen = 1\n"
+              "    def g():\n        kept = seen\n        return [k for k in x]\n"
+              "    return g\n")
+    assert unread_locals(source) == ["f:rng", "f:item", "g:kept"]

@@ -3,9 +3,9 @@ row for row and bit for bit, value and grad on each row alone.
 
 flow_jacobian integrates its probes as one stack and the scaling verifier
 reads H on its whole probe stack, and both rely on this, so every
-in-package field is swept here over random stacks.  The fused
-``value_and_grad``, which RK4 nodes call, is held to ``value`` and to the
-stacked ``grad`` the same way, and so are the row-by-row momentum map and
+in-package field is swept here over random stacks.  ``integrate`` reads a
+trajectory's H by ``value`` on blocks of stored nodes, and each row must
+be the float of that node alone; so must the row-by-row momentum map and
 lift that the Noether series and the homothetic check apply to whole
 trajectories.
 """
@@ -18,11 +18,13 @@ from hypothesis.extra.numpy import arrays
 from scalesym import (
     CollisionDetected,
     NBodySpec,
+    PhasePoint,
     ScalarField,
     ScalingAction,
     anisotropic_kepler_system,
     damped_oscillator,
     homogeneous_system,
+    integrate,
     momentum_field,
     nbody_system,
     power_law_system,
@@ -46,18 +48,6 @@ def assert_stack_matches_rows(field: ScalarField, Q, P):
 
 def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
-
-
-def assert_fused_matches_separate(field: ScalarField, Q, P):
-    """value_and_grad at each row gives value's float and grad's arrays there,
-    bit for bit, and its gradient is that row of grad on the whole stack."""
-    gq, gp = field.grad(Q, P)
-    for k, (q, p) in enumerate(zip(Q, P)):
-        value, (fq, fp) = field.value_and_grad(q.copy(), p.copy())
-        assert _bits(value) == _bits(field.value(q.copy(), p.copy()))
-        alone_q, alone_p = field.grad(q.copy(), p.copy())
-        assert _bits(fq) == _bits(alone_q) == _bits(gq[k])
-        assert _bits(fp) == _bits(alone_p) == _bits(gp[k])
 
 
 @st.composite
@@ -163,38 +153,33 @@ def test_from_value_field_stacks(data, n):
     assert_stack_matches_rows(field, *data.draw(_stack(n)))
 
 
-# --- value_and_grad: one evaluation, the same bits ---------------------------
+# --- integrate: H read on blocks of stored nodes, the same bits -------------
 
-@settings(derandomize=True, database=None, deadline=None)
-@given(_nbody_stacks())
-def test_nbody_value_and_grad_is_value_and_grad(case):
-    spec, Q, P = case
-    field = nbody_system(spec).hamiltonian_field()
-    assert field.value_and_grad is not None
-    assert_fused_matches_separate(field, Q, P)
-
-
-@settings(derandomize=True, database=None, deadline=None)
-@given(st.floats(0.2, 5.0), _stack(2, elements=_nonzero))
-def test_anisotropic_kepler_value_and_grad_is_value_and_grad(mu, stack):
-    assert_fused_matches_separate(anisotropic_kepler_system(mu).hamiltonian_field(),
-                                  *stack)
-
-
-@settings(derandomize=True, database=None, deadline=None)
-@given(st.data(), st.integers(1, 4),
-       st.sampled_from([-2.0, -1.0, 1.0, 2.0, 3.0]) | st.floats(-3.0, 3.0).filter(bool),
-       st.floats(-2.0, 2.0))
-def test_power_law_value_and_grad_is_value_and_grad(data, n, alpha, k):
-    Q, P = data.draw(_stack(n, elements=_nonzero))
-    assert_fused_matches_separate(power_law_system(n, alpha, k).hamiltonian_field(),
-                                  Q, P)
+def _integrated_case(name):
+    if name == "nbody":
+        spec = NBodySpec((1.0, 1.3, 0.8), dim=2)
+        return (nbody_system(spec).hamiltonian_field(), 0.0,
+                PhasePoint([0.0, 0.0, 1.0, 0.0, 0.5, 0.9],
+                           [0.1, -0.2, 0.0, 0.3, -0.2, 0.1]))
+    if name == "anisotropic-kepler":
+        return (anisotropic_kepler_system(2.0).hamiltonian_field(), 0.0,
+                PhasePoint([0.8, -0.3], [0.1, 0.9]))
+    if name == "power-law":
+        return (power_law_system(3, -1.0).hamiltonian_field(), 0.0,
+                PhasePoint([0.8, -0.3, 0.5], [0.1, 0.9, -0.2]))
+    system = damped_oscillator(0.1)
+    return system.field, system.c, PhasePoint.from_flat(system.z0)
 
 
-@settings(derandomize=True, database=None, deadline=None)
-@given(st.floats(0.0, 2.0), _stack(1))
-def test_damped_oscillator_value_and_grad_is_value_and_grad(friction, stack):
-    assert_fused_matches_separate(damped_oscillator(friction).field, *stack)
+@pytest.mark.parametrize("name", ["nbody", "anisotropic-kepler", "power-law",
+                                  "damped-oscillator"])
+def test_integrated_energy_is_value_at_each_row(name):
+    # 201 rows: integrate reads H on a block of 128 and one of 73
+    F, c, z0 = _integrated_case(name)
+    traj = integrate(F, c, z0, 0.2, 1e-3)
+    assert len(traj) == 201
+    alone = [F.value(q.copy(), p.copy()) for q, p in zip(traj.qs, traj.ps)]
+    assert traj.energy.tobytes() == _bits(alone)
 
 
 # --- value: H on a whole stack, the same bits ---------------------------------
@@ -283,6 +268,18 @@ def test_momentum_field_values_are_each_rows_value(data, n, xi, custom):
         weights = data.draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
         action = ScalingAction.dilation(weights, 0.5, -1.0)
     assert_values_match_rows(momentum_field(action, xi), *data.draw(_stack(n)))
+
+
+@pytest.mark.parametrize("custom", [False, True])
+def test_momentum_field_with_a_column_of_xi_gives_one_value_per_row(custom):
+    # each row's J_xi with that row's xi, as the verifier's stacked xi is
+    action = quadratic_action() if custom else ScalingAction.dilation([1.0, -0.5], 0.5, -1.0)
+    Q, P = np.random.default_rng(11).uniform(-1.0, 1.0, (2, 3, 2))
+    xi = np.array([[1.0], [2.0], [3.0]])
+    values = momentum_field(action, xi).value(Q, P)
+    assert np.shape(values) == (3,)
+    assert _bits(values) == _bits([momentum_field(action, float(x[0])).value(q, p)
+                                   for x, q, p in zip(xi, Q, P)])
 
 
 def test_verifier_reads_h_in_one_kernel_call(monkeypatch):
