@@ -70,26 +70,17 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _jsonify(obj):
-    """Coerce numpy scalars/arrays so artifacts serialize deterministically."""
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
+def _json_default(obj):
+    """json.dump's hook for numpy arrays and scalars; np.float64 is a float
+    and never reaches it, so artifacts keep float.__repr__'s digits."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path: str, payload: dict):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonify(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
 
@@ -285,7 +276,8 @@ def cmd_verify(args) -> int:
     if args.out:
         _write_json(args.out, payload)
     else:
-        json.dump(_jsonify(payload), sys.stdout, indent=2, sort_keys=True)
+        json.dump(payload, sys.stdout, indent=2, sort_keys=True,
+                  default=_json_default)
         sys.stdout.write("\n")
     return EXIT_OK if passed else EXIT_VERIFICATION
 

@@ -17,8 +17,9 @@ and the energy-rate law dF/dt = c * theta(X_F^c) = c * p . dF/dp.
 returned: A is taken at its first row and the energy rate read along it,
 so the CLI's flow and Noether checks share one integration.
 
-``integrate`` and ``flow_jacobian`` share one RK4 loop on flat states
-y = (q, p).  The loop is written on the last axis, so it advances a
+``integrate``, ``flow_jacobian`` and ``verify_homothetic_orbit`` share one
+RK4 loop on flat states y = (q, p); the homothetic check stores only its
+nodes.  The loop is written on the last axis, so it advances a
 (B, 2n) stack of states as readily as one state: ``flow_jacobian`` is the
 package's one finite-difference core applied to that loop, so the 4n
 central-difference probes of z0 are integrated together, with one gradient
@@ -280,8 +281,10 @@ def verify_homothetic_orbit(H: ScalarField, action: ScalingAction, re,
     """Compare the Hamiltonian trajectory from a certified relative
     equilibrium with its group orbit Phi_{eta(t)}(z_e).
 
-    Reports the max over stored times of the relative deviation
-    ||z_num(t) - Phi_{eta(t)} z_e|| / max(1, ||Phi_{eta(t)} z_e||).
+    Reports the max over the RK4 nodes of the relative deviation
+    ||z_num(t) - Phi_{eta(t)} z_e|| / max(1, ||Phi_{eta(t)} z_e||).  The
+    RK4 loop stores only the nodes: no H, J, K or quadrature of theta is
+    read, as no deviation needs them.
     """
     if not re.certified:
         raise UncertifiedInput("relative equilibrium is not certified")
@@ -291,15 +294,20 @@ def verify_homothetic_orbit(H: ScalarField, action: ScalingAction, re,
     # Reject a window that reaches the blow-up time before integrating.
     homothetic_factor(action, re.xi, np.array([0.0, t_final]))
 
-    traj = integrate(H, 0.0, z_e, t_final, dt)
-    eta = homothetic_factor(action, re.xi, traj.times)
+    m = _step_count(t_final, dt)
+    nodes = np.empty((m + 1, 2 * z_e.n))
+
+    def store(k, y, ydot):
+        nodes[k] = y
+
+    _rk4(H, 0.0, z_e.flat(), m, dt, store)
+    eta = homothetic_factor(action, re.xi, np.arange(m + 1) * dt)
     worst = 0.0
     # Blocks of 128 rows: a few (128, 2n) temporaries, not whole-trajectory ones.
-    for k in range(0, len(traj), 128):
+    for k in range(0, m + 1, 128):
         rows = slice(k, k + 128)
         ref = np.concatenate(act_phase(action, eta[rows, None], z_e.q, z_e.p), axis=-1)
-        diff = np.concatenate((traj.qs[rows], traj.ps[rows]), axis=-1)
-        diff -= ref
+        diff = nodes[rows] - ref
         # Row norms as np.linalg.norm takes one vector's: sqrt of its BLAS dot.
         scale = np.maximum(1.0, np.sqrt(_dot_rows(ref, ref)))
         dev = np.sqrt(_dot_rows(diff, diff)) / scale

@@ -1,13 +1,21 @@
 """Relative equilibria of scaling symmetries and central configurations.
 
-For a simple mechanical system H = (1/2) p^T M^{-1} p + U(q) carrying a
-scaling action with lift exponent c, a phase point is a relative
-equilibrium with multiplier xi exactly when the one-form
+For a Hamiltonian H carrying a scaling action with lift exponent c, a
+phase point z is a relative equilibrium with multiplier xi exactly when the
+one-form
 
-    d H_xi + (c xi) theta,        H_xi = H - xi J,
+    d H_xi + (c xi) theta = i_{X_H - xi_P} omega,        H_xi = H - xi J,
 
-vanishes.  In coordinates that splits into the momentum condition
-p = M xi_Q(q) and the central-configuration equation
+vanishes, that is where the Hamiltonian vector field X_H equals the lifted
+generator xi_P.  With c = 0 this is the classical condition for a
+symplectic action, such as a rotation.  ``relative_equilibrium_residual``
+takes any (H, action) pair, as the scaling verifier does: it reads H only
+through its ``ScalarField`` and the action only through
+``generator_phase``.
+
+For a simple mechanical system H = (1/2) p^T M^{-1} p + U(q) the condition
+splits into the momentum condition p = M xi_Q(q) and the
+central-configuration equation
 
     grad U(q) - (xi^2 / 2) grad I(q) + c xi M xi_Q(q) = 0,
 
@@ -28,11 +36,13 @@ import numpy as np
 
 from .errors import CollisionDetected, DimensionMismatch, NonFiniteValue, \
     SchemaError, SolverDidNotConverge
-from .phase import PhasePoint, ScalarField, _dot_rows, _fd_stack_jacobian
+from .phase import PhasePoint, ScalarField, _conformal_field, _dot_rows, \
+    _fd_stack_jacobian
 from .scaling import (
     ScalingAction,
     generator_config,
     generator_config_jacobian,
+    generator_phase,
     momentum_map,
 )
 
@@ -174,11 +184,11 @@ def augmented_kinetic(system: SimpleMechanicalSystem, action: ScalingAction,
     return 0.5 * float(diff @ system._inverse_mass(diff))
 
 
-def augmented_hamiltonian(system: SimpleMechanicalSystem, action: ScalingAction,
-                          xi: float, z: PhasePoint) -> float:
-    """H_xi = H - xi J; equals K_xi + U_xi pointwise."""
-    return (system.hamiltonian_field().value(z.q, z.p)
-            - xi * momentum_map(action, z.q, z.p))
+def augmented_hamiltonian(H: ScalarField, action: ScalingAction, xi: float,
+                          z: PhasePoint) -> float:
+    """H_xi = H - xi J at z.  For a simple mechanical system's
+    ``hamiltonian_field()`` it equals K_xi + U_xi pointwise."""
+    return H.value(z.q, z.p) - xi * momentum_map(action, z.q, z.p)
 
 
 def momentum_from_config(system: SimpleMechanicalSystem, action: ScalingAction,
@@ -215,21 +225,20 @@ def central_config_residual(system: SimpleMechanicalSystem,
             + action.c * xi * momentum_from_config(system, action, xi, q))
 
 
-def relative_equilibrium_residual(system: SimpleMechanicalSystem,
-                                  action: ScalingAction, xi: float,
-                                  z: PhasePoint) -> np.ndarray:
-    """Coordinate stack of d H_xi + (c xi) theta at z, length 2n.
+def relative_equilibrium_residual(H: ScalarField, action: ScalingAction,
+                                  xi: float, z: PhasePoint) -> np.ndarray:
+    """Omega^T (X_H - xi_P) at z, the coordinate stack of
+    d H_xi + (c xi) theta = i_{X_H - xi_P} omega, length 2n.
 
-    Rows 0..n-1 are the dq components (the central-configuration equation
-    once the momentum condition holds), rows n..2n-1 the dp components
-    M^{-1} p - xi_Q(q).  Zero exactly at relative equilibria with
-    multiplier xi.
+    Rows 0..n-1 are the dq components dH/dq + (xi_P)_p, rows n..2n-1 the dp
+    components (X_H)_q - xi_Q(q).  X_H is one ``H.grad`` call and xi_P is
+    ``generator_phase``, so any (H, action) pair can be certified.  Zero
+    exactly at relative equilibria with multiplier xi.
     """
-    grad_u = np.asarray(system.potential_gradient(z.q), dtype=float)
-    ds = generator_config_jacobian(action, xi, z.q)
-    block_dq = grad_u - ds.T @ z.p + action.c * xi * z.p
-    block_dp = system._inverse_mass(z.p) - generator_config(action, xi, z.q)
-    return np.concatenate((block_dq, block_dp))
+    n = z.n
+    defect = (_conformal_field(H, 0.0, z.flat())
+              - np.concatenate(generator_phase(action, xi, z.q, z.p)))
+    return np.concatenate((-defect[n:], defect[:n]))
 
 
 def xi_squared_from_config(system: SimpleMechanicalSystem, q) -> float:
@@ -254,15 +263,16 @@ def certify_relative_equilibrium(system: SimpleMechanicalSystem,
                                  action: ScalingAction, q, xi: float, *,
                                  tol: float = 1e-10,
                                  iterations: int = 0) -> RelativeEquilibrium:
-    """Build p = M xi_Q(q), evaluate both residuals, and set the certified
-    flag; a tolerance that is NaN, infinite or negative raises SchemaError."""
+    """Build p = M xi_Q(q), evaluate both residuals (the full one on
+    ``system.hamiltonian_field()``), and set the certified flag; a tolerance
+    that is NaN, infinite or negative raises SchemaError."""
     _check_tolerance(tol)
     q = np.asarray(q, dtype=float)
     p = momentum_from_config(system, action, xi, q)
     z = PhasePoint(q, p)
     res_cc = float(np.max(np.abs(central_config_residual(system, action, xi, q))))
-    res_full = float(np.max(np.abs(
-        relative_equilibrium_residual(system, action, xi, z))))
+    res_full = float(np.max(np.abs(relative_equilibrium_residual(
+        system.hamiltonian_field(), action, xi, z))))
     return RelativeEquilibrium(q=q, p=p, xi=float(xi), residual_cc=res_cc,
                                residual_full=res_full,
                                certified=res_full <= tol, tol=tol,

@@ -68,8 +68,8 @@ def test_criterion_02_two_body_fixture():
     system = nbody_system(NBodySpec((1.0, 1.0), dim=3))
     q = np.array([0.5, 0.0, 0.0, -0.5, 0.0, 0.0])
     p = 2.0 * system.mass_matrix @ q
-    res = np.max(np.abs(relative_equilibrium_residual(system, action, 2.0,
-                                                      PhasePoint(q, p))))
+    res = np.max(np.abs(relative_equilibrium_residual(
+        system.hamiltonian_field(), action, 2.0, PhasePoint(q, p))))
     xi2 = xi_squared_from_config(system, q)
     ok = res <= 1e-12 and abs(xi2 - 4.0) <= 1e-12
     _report(2, "two-body-fixture", ok, f"residual={res:.2e}, xi^2={xi2:.15g}")
